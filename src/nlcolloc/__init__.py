@@ -16,9 +16,8 @@ from .oracle import (ManufacturedProblem, OracleError, TestFunction,
 from .plc import (PlcIntegralRule, assemble_plc_system, plc_integral,
                   plc_matrix, truncation_error)
 from .plc import make_rule as make_plc_rule
-from .pqc import (PqcIntegralRule, PqcNodeOrdering, assemble_pqc_system,
-                  ordering_permutation, pqc_integral, pqc_matrix,
-                  pqc_truncation_at, reorder_system)
+from .pqc import (PqcIntegralRule, assemble_pqc_system, pqc_integral,
+                  pqc_matrix, pqc_truncation_at)
 from .pqc import make_rule as make_pqc_rule
 from .solver import (CollocationSystem, SingularSystemError, StructureReport,
                      check_structure, gershgorin_reference_bound,
@@ -40,8 +39,7 @@ __all__ = [
     "PlcIntegralRule", "make_plc_rule", "plc_integral", "plc_matrix",
     "assemble_plc_system", "truncation_error",
     "PqcIntegralRule", "make_pqc_rule", "pqc_integral", "pqc_matrix",
-    "assemble_pqc_system", "pqc_truncation_at", "PqcNodeOrdering",
-    "ordering_permutation", "reorder_system",
+    "assemble_pqc_system", "pqc_truncation_at",
     "CollocationSystem", "StructureReport", "SingularSystemError",
     "solve_dense", "check_structure", "min_eigenvalue",
     "gershgorin_reference_bound",

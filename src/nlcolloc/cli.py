@@ -9,11 +9,11 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import coeffs, plc, pqc, solver, study
+from . import coeffs, solver, study
 from .grid import KernelParams, UniformGrid
 from .oracle import OracleError, constant, exponential, monomial
 from .solver import CollocationSystem, SingularSystemError
@@ -39,13 +39,19 @@ class CliInvocation:
     outputPath: str
 
 
-def _parse_levels(raw: str) -> tuple:
+def _parse_levels(raw: str, nested: bool) -> tuple:
     try:
         levels = tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"--levels: expected comma-separated integers, got {raw!r}")
     if not levels:
         raise UsageError("--levels: empty list")
+    if not all(2 <= N <= coeffs.MAX_CELLS for N in levels):
+        raise UsageError(
+            f"--levels: each level must lie in 2..{coeffs.MAX_CELLS}, got {raw!r}")
+    if nested and any(b <= a or b % a for a, b in zip(levels, levels[1:])):
+        raise UsageError(
+            f"--levels: levels must nest, each a larger multiple of the previous, got {raw!r}")
     return levels
 
 
@@ -59,15 +65,19 @@ def _parse_interval(raw: str) -> tuple:
     return a, b
 
 
-def _parse_point(raw: str):
+def _parse_point(raw: str, interval: tuple):
     if raw in ("center", "first"):
         return raw
-    if raw.startswith("x="):
-        try:
-            return float(raw[2:])
-        except ValueError:
-            pass
-    raise UsageError(f"--point: expected center, first or x=<real>, got {raw!r}")
+    try:
+        x = float(raw[2:]) if raw.startswith("x=") else None
+    except ValueError:
+        x = None
+    if x is None:
+        raise UsageError(f"--point: expected center, first or x=<real>, got {raw!r}")
+    a, b = interval
+    if not a < x < b:
+        raise UsageError(f"--point: {raw} lies outside --interval ({a:g}, {b:g})")
+    return x
 
 
 def _read_config(path: str) -> dict:
@@ -102,7 +112,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_args(argv) -> CliInvocation:
     parser = _Parser(prog="nlcolloc", description=__doc__, add_help=True)
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--scheme", choices=("plc", "pqc"))
+    parser.add_argument("--scheme", choices=tuple(study.SCHEMES))
     parser.add_argument("--gamma")
     parser.add_argument("--interval")
     parser.add_argument("--levels")
@@ -126,7 +136,7 @@ def parse_args(argv) -> CliInvocation:
 
     if raw["scheme"] is None:
         raise UsageError("--scheme is required (plc or pqc)")
-    if raw["scheme"] not in ("plc", "pqc"):
+    if raw["scheme"] not in study.SCHEMES:
         raise UsageError(f"--scheme: expected plc or pqc, got {raw['scheme']!r}")
     if raw["gamma"] is None:
         raise UsageError("--gamma is required")
@@ -143,13 +153,15 @@ def parse_args(argv) -> CliInvocation:
     if raw["format"] not in ("csv", "markdown"):
         raise UsageError(f"--format: expected csv or markdown, got {raw['format']!r}")
 
+    interval = _parse_interval(raw["interval"])
     options = {
         "scheme": raw["scheme"],
         "gamma": gamma,
-        "interval": _parse_interval(raw["interval"]),
-        "levels": _parse_levels(raw["levels"]),
+        "interval": interval,
+        "levels": _parse_levels(raw["levels"],
+                                nested=args.command in ("truncation", "converge")),
         "function": raw["function"],
-        "point": _parse_point(raw["point"]),
+        "point": _parse_point(raw["point"], interval),
         "format": raw["format"],
     }
     return CliInvocation(command=args.command, options=options,
@@ -158,43 +170,24 @@ def parse_args(argv) -> CliInvocation:
 
 # --- command bodies ---------------------------------------------------------
 
+# Dump names of the weight tables whose field names differ from the paper's.
+_TABLE_NAMES = {"gammaB": "gamma", "dHalf": "d_half"}
+
+
 def _cmd_coeffs(opt) -> str:
     params = KernelParams(opt["gamma"])
     a, b = opt["interval"]
+    scheme = study.SCHEMES[opt["scheme"]]
     out = []
     for N in opt["levels"]:
-        grid = UniformGrid(a, b, N)
+        c = scheme.make_rule(params, UniformGrid(a, b, N)).coeffs
+        scale, *tables = (f.name for f in fields(c))   # scaling factor first
         out.append(f"# scheme = {opt['scheme']}, gamma = {opt['gamma']:g}, N = {N}")
-        if opt["scheme"] == "plc":
-            c = coeffs.plc_weights(params, grid)
-            out.append(f"sigma = {c.sigma:.17g}")
-            tables = {"g": c.g, "alpha": c.alpha, "d": c.d}
-        else:
-            c = coeffs.pqc_weights(params, grid)
-            out.append(f"eta = {c.eta:.17g}")
-            tables = {"m": c.m, "p": c.p, "q": c.q, "n": c.n,
-                      "beta": c.beta, "gamma": c.gammaB, "d_half": c.dHalf}
-        for name, table in tables.items():
-            out.append(f"[{name}]")
-            out.append(coeffs.dump_table(table).rstrip("\n"))
+        out.append(f"{scale} = {getattr(c, scale):.17g}")
+        for name in tables:
+            out.append(f"[{_TABLE_NAMES.get(name, name)}]")
+            out.append(coeffs.dump_table(getattr(c, name)).rstrip("\n"))
     return "\n".join(out) + "\n"
-
-
-def _bare_system(scheme: str, params, grid) -> CollocationSystem:
-    if scheme == "plc":
-        A = plc.plc_matrix(params, grid)
-        c = coeffs.plc_weights(params, grid)
-        return CollocationSystem(matrix=A, rhs=np.zeros(len(A)),
-                                 ordering="plc-interior", scaling=c.sigma,
-                                 scheme="plc", params=params, grid=grid,
-                                 nodes=grid.interior_nodes())
-    A = pqc.pqc_matrix(params, grid)
-    c = coeffs.pqc_weights(params, grid)
-    nodes = np.concatenate([grid.interior_nodes(), grid.half_nodes()])
-    return CollocationSystem(matrix=A, rhs=np.zeros(len(A)),
-                             ordering="pqc-paper", scaling=c.eta,
-                             scheme="pqc", params=params, grid=grid,
-                             nodes=nodes)
 
 
 def _fmt_value(v) -> str:
@@ -212,15 +205,25 @@ def _fmt_value(v) -> str:
 def _cmd_check(opt) -> str:
     params = KernelParams(opt["gamma"])
     a, b = opt["interval"]
+    scheme = study.SCHEMES[opt["scheme"]]
     out = []
     for N in opt["levels"]:
-        system = _bare_system(opt["scheme"], params, UniformGrid(a, b, N))
-        report = solver.check_structure(system)
+        grid = UniformGrid(a, b, N)
+        A = scheme.operator(scheme.make_rule(params, grid).coeffs)
+        report = solver.check_structure(CollocationSystem(
+            matrix=A, rhs=np.zeros(len(A)), scheme=opt["scheme"],
+            nodes=scheme.nodes(grid)))
         out.append(f"N = {N}")
-        for name in ("diagPositive", "offDiagNegative", "rowSums",
-                     "minRowSlack", "gershgorinLowerBound", "symmetric",
-                     "spdFactorizationOk"):
-            out.append(f"{name} = {_fmt_value(getattr(report, name))}")
+        for name, value in (
+                ("diagPositive", report.diagPositive),
+                ("offDiagNegative", report.offDiagNegative),
+                ("rowSums", report.rowSums),
+                ("minRowSlack", report.minRowSlack),
+                # min_i (a_ii - r_i), the Gershgorin bound, is the row slack
+                ("gershgorinLowerBound", report.minRowSlack),
+                ("symmetric", report.symmetric),
+                ("spdFactorizationOk", report.spdFactorizationOk)):
+            out.append(f"{name} = {_fmt_value(value)}")
     return "\n".join(out) + "\n"
 
 

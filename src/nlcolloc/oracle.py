@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import roots_jacobi
 
 from .grid import KernelParams, UniformGrid
@@ -103,33 +102,25 @@ def _jacobi_poly_and_deriv(n: int, alpha: float, beta: float, x: np.ndarray):
     return p, 0.5 * (n + alpha + beta + 1.0) * d
 
 
-def _gauss_jacobi(n: int, alpha: float, beta: float):
-    """Nodes and weights on [-1, 1] for weight (1-x)^alpha (1+x)^beta.
+def _gauss_jacobi(n: int, beta: float):
+    """Nodes and weights on [-1, 1] for weight (1+x)^beta.
 
     Library nodes serve as starting points and are Newton-polished on the
     recurrence in extended precision (the library values alone drift to
     ~1e-12 for beta near -1 at larger n); weights come from the closed-form
     derivative formula.
     """
-    from scipy.special import gammaln
-
-    x0, _ = roots_jacobi(n, alpha, beta)
+    x0, _ = roots_jacobi(n, 0.0, beta)
     x = x0.astype(np.longdouble)
     for _ in range(50):
-        p, dp = _jacobi_poly_and_deriv(n, alpha, beta, x)
+        p, dp = _jacobi_poly_and_deriv(n, 0.0, beta, x)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < 1e-16:
             break
-    _, dp = _jacobi_poly_and_deriv(n, alpha, beta, x)
-    if alpha == 0.0:
-        # the Gamma factors collapse: C = 2^(beta+1) exactly
-        c = np.longdouble(2.0) ** np.longdouble(beta + 1.0)
-    else:
-        logc = ((alpha + beta + 1.0) * math.log(2.0)
-                + gammaln(n + alpha + 1.0) + gammaln(n + beta + 1.0)
-                - gammaln(n + 1.0) - gammaln(n + alpha + beta + 1.0))
-        c = np.longdouble(math.exp(logc))
+    _, dp = _jacobi_poly_and_deriv(n, 0.0, beta, x)
+    # with alpha = 0 the Gamma factors collapse: C = 2^(beta+1) exactly
+    c = np.longdouble(2.0) ** np.longdouble(beta + 1.0)
     w = c / ((1.0 - x ** 2) * dp ** 2)
     return x, w
 
@@ -141,7 +132,7 @@ def _gj_rule(n: int, gamma: float):
     # weight s^(-gamma) on [0, 1]: map the (0, -gamma) Jacobi rule from [-1, 1]
     key = (n, gamma)
     if key not in _GJ_CACHE:
-        t, w = _gauss_jacobi(n, 0.0, -gamma)
+        t, w = _gauss_jacobi(n, -gamma)
         s = (1.0 + t) / 2.0
         _GJ_CACHE[key] = (s, w * np.longdouble(2.0) ** (gamma - 1.0))
     return _GJ_CACHE[key]
@@ -281,19 +272,16 @@ def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
         boundary=(float(u(grid.a)), float(u(grid.b))), oracleTolerance=tol)
 
 
-def problem_csv(problem: ManufacturedProblem) -> str:
-    lines = ["node,f_value"]
-    lines += [f"{x:.17g},{f:.17g}"
-              for x, f in zip(problem.nodes, problem.fValues)]
-    return "\n".join(lines) + "\n"
-
-
 # --- boundary basis integrals (adaptive-quadrature route) -------------------
 
 def _piecewise_singular_quad(f, lo: float, hi: float, gamma: float,
                              x: float) -> float:
     """int_lo^hi f(y) |x - y|^(-gamma) dy with f smooth on [lo, hi]; the
     kernel singularity may sit inside, at an endpoint, or outside."""
+    # imported here: only this reference route needs it, and it is most of
+    # the import cost of the package
+    from scipy import integrate
+
     if gamma == 0.0:
         val, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13)
         return val

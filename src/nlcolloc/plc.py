@@ -64,11 +64,19 @@ def truncation_error(rule: PlcIntegralRule, u: TestFunction, x: float,
     return abs(exact - approx)
 
 
-def plc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
+def operator(c: coeffs.PlcCoeffs) -> np.ndarray:
     """sigma * (D - G): symmetric Toeplitz minus-structure with positive diagonal."""
-    c = coeffs.plc_weights(params, grid)
-    A = np.diag(c.d) - toeplitz(c.g)
-    return c.sigma * A
+    return c.sigma * (np.diag(c.d) - toeplitz(c.g))
+
+
+def plc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
+    """The scheme's operator, with its weight tables built from (params, grid)."""
+    return operator(coeffs.plc_weights(params, grid))
+
+
+def nodes(grid: UniformGrid) -> np.ndarray:
+    """Collocation point of each row: x_1 .. x_{N-1}."""
+    return grid.interior_nodes()
 
 
 def assemble_plc_system(params: KernelParams, grid: UniformGrid,
@@ -78,9 +86,21 @@ def assemble_plc_system(params: KernelParams, grid: UniformGrid,
         raise ValueError(
             f"expected {N - 1} right-hand-side values, got {len(problem.fValues)}")
     c = coeffs.plc_weights(params, grid)
-    A = c.sigma * (np.diag(c.d) - toeplitz(c.g))
     u0, uN = problem.boundary
     rhs = problem.fValues + c.sigma * (c.alpha * u0 + c.alpha[::-1] * uN)
-    return CollocationSystem(matrix=A, rhs=rhs, ordering="plc-interior",
-                             scaling=c.sigma, scheme="plc", params=params,
-                             grid=grid, nodes=grid.interior_nodes())
+    return CollocationSystem(matrix=operator(c), rhs=rhs, scheme="plc",
+                             nodes=nodes(grid))
+
+
+# --- scheme interface -------------------------------------------------------
+# study.SCHEMES maps 'plc' to this module.  study and cli call make_rule,
+# operator, nodes and the two functions below, names that pqc shares.  The
+# two look the scheme's own functions up at call time, so rebinding those
+# module attributes still takes effect.
+
+def assemble(params, grid, problem) -> CollocationSystem:
+    return assemble_plc_system(params, grid, problem)
+
+
+def truncation(rule, u, x, tol) -> float:
+    return truncation_error(rule, u, x, tol)

@@ -8,7 +8,6 @@ stays exact: over doubled indices it becomes (|2(i - j) - 1| - 1) / 2.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import coeffs, moments
 from .grid import KernelParams, UniformGrid
@@ -27,6 +26,24 @@ def make_rule(params: KernelParams, grid: UniformGrid) -> PqcIntegralRule:
     return PqcIntegralRule(coeffs.pqc_weights(params, grid), grid, params)
 
 
+# The four block index maps, shared by the single-row evaluator (scalar row
+# index) and the matrix (column of row indices).  Columns run over the
+# integer nodes j = 1..N-1 and the half nodes x_{jh + 1/2}, jh = 0..N-1.
+
+def _integer_rows(c: coeffs.PqcCoeffs, r):
+    """Weights M, Q of the integer and half unknowns in the rows of x_r."""
+    N = len(c.n)
+    j, jh = np.arange(1, N), np.arange(N)
+    return c.m[np.abs(r - j)], c.q[(np.abs(2 * (r - jh) - 1) - 1) // 2]
+
+
+def _half_rows(c: coeffs.PqcCoeffs, s):
+    """Weights P, N of the integer and half unknowns in the rows of x_{s + 1/2}."""
+    N = len(c.n)
+    j, jh = np.arange(1, N), np.arange(N)
+    return c.p[(np.abs(2 * (s - j) + 1) - 1) // 2], c.n[np.abs(s - jh)]
+
+
 def pqc_integral(rule: PqcIntegralRule, int_samples: np.ndarray,
                  half_samples: np.ndarray, i: int) -> float:
     """Weight-table evaluation at collocation node x_{i/2}, doubled index
@@ -37,17 +54,17 @@ def pqc_integral(rule: PqcIntegralRule, int_samples: np.ndarray,
     if not 1 <= i <= 2 * N - 1:
         raise IndexError(f"doubled node index {i} outside 1..{2 * N - 1}")
     c = rule.coeffs
-    j = np.arange(1, N)       # integer node indices
-    jh = np.arange(N)         # half node x_{jh + 1/2}
     if i % 2 == 0:
         r = i // 2
-        acc = c.m[np.abs(r - j)] @ int_samples[1:N]
-        acc += c.q[(np.abs(2 * (r - jh) - 1) - 1) // 2] @ half_samples
+        M, Q = _integer_rows(c, r)
+        acc = M @ int_samples[1:N]
+        acc += Q @ half_samples
         acc += c.beta[r - 1] * int_samples[0] + c.beta[N - r - 1] * int_samples[N]
     else:
         s = (i - 1) // 2      # row collocation point x_{s + 1/2}
-        acc = c.p[(np.abs(2 * (s - j) + 1) - 1) // 2] @ int_samples[1:N]
-        acc += c.n[np.abs(s - jh)] @ half_samples
+        P, Nb = _half_rows(c, s)
+        acc = P @ int_samples[1:N]
+        acc += Nb @ half_samples
         acc += c.gammaB[s] * int_samples[0] + c.gammaB[N - 1 - s] * int_samples[N]
     return c.eta * acc
 
@@ -67,9 +84,9 @@ def interpolant_integral(rule: PqcIntegralRule, int_samples: np.ndarray,
     xh = g.half_nodes()
     total = 0.0
     for j in range(g.N):
-        nodes = np.array([xs[j], xh[j], xs[j + 1]])
+        cell = np.array([xs[j], xh[j], xs[j + 1]])
         vals = np.array([int_samples[j], half_samples[j], int_samples[j + 1]])
-        total += moments.cell_integral(x, nodes, vals, rule.params.gamma)
+        total += moments.cell_integral(x, cell, vals, rule.params.gamma)
     return total
 
 
@@ -88,23 +105,11 @@ def pqc_truncation_at(rule: PqcIntegralRule, u: TestFunction, x: float,
 
 # --- system assembly --------------------------------------------------------
 
-def _blocks(c: coeffs.PqcCoeffs, N: int):
-    M = toeplitz(c.m)
-    Nb = toeplitz(c.n)
-    i = np.arange(N)[:, None]      # half-node rows of P
-    j = np.arange(1, N)[None, :]
-    P = c.p[(np.abs(2 * (i - j) + 1) - 1) // 2]
-    r = np.arange(1, N)[:, None]   # integer rows of Q
-    jh = np.arange(N)[None, :]
-    Q = c.q[(np.abs(2 * (r - jh) - 1) - 1) // 2]
-    return M, Nb, P, Q
-
-
-def pqc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
+def operator(c: coeffs.PqcCoeffs) -> np.ndarray:
     """eta * ([D1 0; 0 D2] - [M Q; P N]) in the integers-then-halves ordering."""
-    c = coeffs.pqc_weights(params, grid)
-    N = grid.N
-    M, Nb, P, Q = _blocks(c, N)
+    N = len(c.n)
+    M, Q = _integer_rows(c, np.arange(1, N)[:, None])
+    P, Nb = _half_rows(c, np.arange(N)[:, None])
     A = np.zeros((2 * N - 1, 2 * N - 1))
     d_int = c.dHalf[1::2]          # d_1 .. d_{N-1}
     d_half = c.dHalf[0::2]         # d_{1/2} .. d_{N-1/2}
@@ -115,7 +120,13 @@ def pqc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
     return c.eta * A
 
 
-def _paper_nodes(grid: UniformGrid) -> np.ndarray:
+def pqc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
+    """The scheme's operator, with its weight tables built from (params, grid)."""
+    return operator(coeffs.pqc_weights(params, grid))
+
+
+def nodes(grid: UniformGrid) -> np.ndarray:
+    """Collocation point of each row, in the paper ordering."""
     return np.concatenate([grid.interior_nodes(), grid.half_nodes()])
 
 
@@ -131,7 +142,6 @@ def assemble_pqc_system(params: KernelParams, grid: UniformGrid,
         raise ValueError(
             f"expected {2 * N - 1} right-hand-side values, got {len(problem.fValues)}")
     c = coeffs.pqc_weights(params, grid)
-    A = pqc_matrix(params, grid)
     # fValues come ordered by increasing node; integers sit at odd doubled indices
     f_int = problem.fValues[1::2]
     f_half = problem.fValues[0::2]
@@ -140,47 +150,19 @@ def assemble_pqc_system(params: KernelParams, grid: UniformGrid,
         f_int + c.eta * (c.beta * u0 + c.beta[::-1] * uN),
         f_half + c.eta * (c.gammaB * u0 + c.gammaB[::-1] * uN),
     ])
-    return CollocationSystem(matrix=A, rhs=rhs, ordering="pqc-paper",
-                             scaling=c.eta, scheme="pqc", params=params,
-                             grid=grid, nodes=_paper_nodes(grid))
+    return CollocationSystem(matrix=operator(c), rhs=rhs, scheme="pqc",
+                             nodes=nodes(grid))
 
 
-# --- node orderings ---------------------------------------------------------
+# --- scheme interface -------------------------------------------------------
+# study.SCHEMES maps 'pqc' to this module.  study and cli call make_rule,
+# operator, nodes and the two functions below, names that plc shares.  The
+# two look the scheme's own functions up at call time, so rebinding those
+# module attributes still takes effect.
 
-@dataclass(frozen=True)
-class PqcNodeOrdering:
-    """Mapping between the paper ordering (integers then halves) and the
-    interleaved ordering (increasing doubled index)."""
-
-    tag: str
-    permutation: np.ndarray  # new_row k holds old_row permutation[k]
-
-
-def ordering_permutation(N: int, target: str) -> PqcNodeOrdering:
-    if target not in ("pqc-paper", "pqc-interleaved"):
-        raise ValueError(f"unknown ordering {target!r}")
-    # position of doubled index t within the paper vector
-    paper_pos = np.empty(2 * N - 1, dtype=int)
-    for t in range(1, 2 * N):
-        paper_pos[t - 1] = t // 2 - 1 if t % 2 == 0 else (N - 1) + (t - 1) // 2
-    if target == "pqc-interleaved":
-        return PqcNodeOrdering(target, paper_pos)
-    return PqcNodeOrdering(target, np.argsort(paper_pos))
+def assemble(params, grid, problem) -> CollocationSystem:
+    return assemble_pqc_system(params, grid, problem)
 
 
-def reorder_system(system: CollocationSystem,
-                   target: PqcNodeOrdering) -> CollocationSystem:
-    """Symmetric permutation of rows/columns (and rhs) between orderings."""
-    if system.ordering == target.tag:
-        return system
-    perm = target.permutation
-    return CollocationSystem(
-        matrix=system.matrix[np.ix_(perm, perm)],
-        rhs=system.rhs[perm],
-        ordering=target.tag,
-        scaling=system.scaling,
-        scheme=system.scheme,
-        params=system.params,
-        grid=system.grid,
-        nodes=system.nodes[perm],
-    )
+def truncation(rule, u, x, tol) -> float:
+    return pqc_truncation_at(rule, u, x, tol)

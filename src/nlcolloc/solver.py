@@ -17,18 +17,14 @@ class SingularSystemError(RuntimeError):
 class CollocationSystem:
     """Assembled dense collocation system A u = rhs.
 
-    matrix carries the sigma/eta scaling already applied (recorded in
-    `scaling`); `nodes` lists the collocation point of each row, in row
-    order, so solutions can be compared against exact values directly.
+    matrix carries the sigma/eta scaling already applied; `nodes` lists the
+    collocation point of each row, in row order, so solutions can be
+    compared against exact values directly.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    ordering: str            # 'plc-interior', 'pqc-paper' or 'pqc-interleaved'
-    scaling: float
     scheme: str              # 'plc' or 'pqc'
-    params: KernelParams
-    grid: UniformGrid
     nodes: np.ndarray
 
 
@@ -38,7 +34,6 @@ class StructureReport:
     offDiagNegative: bool
     rowSums: np.ndarray          # signed row sums of the scaled matrix
     minRowSlack: float           # min_i (a_ii - sum_{j != i} |a_ij|)
-    gershgorinLowerBound: float  # min_i (a_ii - r_i)
     symmetric: bool
     spdFactorizationOk: Optional[bool]  # PLC only
 
@@ -97,7 +92,6 @@ def check_structure(system: CollocationSystem) -> StructureReport:
         offDiagNegative=bool(np.all(A[offdiag_mask] < 0.0)),
         rowSums=np.sum(A, axis=1),
         minRowSlack=float(np.min(slack)),
-        gershgorinLowerBound=float(np.min(slack)),
         symmetric=bool(np.allclose(A, A.T, rtol=0.0, atol=1e-14 * np.max(np.abs(A)))),
         spdFactorizationOk=spd_ok,
     )
@@ -110,10 +104,3 @@ def gershgorin_reference_bound(params: KernelParams, grid: UniformGrid) -> float
     i = np.arange(1, N, dtype=float)
     c = (2.0 - gam) * (1.0 - gam) / 2.0
     return float(np.min(c / i ** gam + c / (N - i) ** gam))
-
-
-def system_csv(system: CollocationSystem) -> str:
-    """Debug dump: matrix rows then the rhs, CSV."""
-    lines = [",".join(f"{v:.17g}" for v in row) for row in system.matrix]
-    lines.append("rhs," + ",".join(f"{v:.17g}" for v in system.rhs))
-    return "\n".join(lines) + "\n"

@@ -20,6 +20,10 @@ from .oracle import TestFunction, exact_nonlocal_rhs, exponential
 # rounding floor; they are flagged and excluded from order estimation.
 FLOOR = 1e-12
 
+# The one place a scheme name is mapped to its definition: the module that
+# provides make_rule, truncation, assemble, operator and nodes.
+SCHEMES = {"plc": plc, "pqc": pqc}
+
 # Eval points: "center" re-resolves to the midpoint junction (a+b)/2,
 # "first" to the moving first interior node a+h; a float is used as-is.
 EvalPoint = Union[str, float]
@@ -37,7 +41,7 @@ class StudyConfig:
     oracleTolerance: float = 1e-13
 
     def __post_init__(self):
-        if self.scheme not in ("plc", "pqc"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.mode not in ("truncation", "global"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -127,21 +131,18 @@ def run_truncation_study(config: StudyConfig) -> list:
     a, b = config.interval
     params = KernelParams(config.gamma)
     u = config.testFunction
-    make = plc.make_rule if config.scheme == "plc" else pqc.make_rule
+    scheme = SCHEMES[config.scheme]
 
     per_point = {pt: [] for pt in config.evalPoints}
     hs = []
     for N in config.levels:
         grid = UniformGrid(a, b, N)
         hs.append(grid.h)
-        rule = make(params, grid)
+        rule = scheme.make_rule(params, grid)
         for pt in config.evalPoints:
             x = _resolve_point(pt, grid)
-            if config.scheme == "plc":
-                err = plc.truncation_error(rule, u, x, config.oracleTolerance)
-            else:
-                err = pqc.pqc_truncation_at(rule, u, x, config.oracleTolerance)
-            per_point[pt].append(err)
+            per_point[pt].append(
+                scheme.truncation(rule, u, x, config.oracleTolerance))
 
     meta = _metadata(config)
     return [
@@ -159,6 +160,7 @@ def run_global_study(config: StudyConfig) -> StudyReport:
     a, b = config.interval
     params = KernelParams(config.gamma)
     u = config.testFunction
+    scheme = SCHEMES[config.scheme]
 
     hs, errors = [], []
     for N in config.levels:
@@ -166,10 +168,7 @@ def run_global_study(config: StudyConfig) -> StudyReport:
         hs.append(grid.h)
         problem = exact_nonlocal_rhs(u, grid, params, nodes=config.scheme,
                                      tol=config.oracleTolerance)
-        if config.scheme == "plc":
-            system = plc.assemble_plc_system(params, grid, problem)
-        else:
-            system = pqc.assemble_pqc_system(params, grid, problem)
+        system = scheme.assemble(params, grid, problem)
         uh = solver.solve_dense(system)
         errors.append(float(np.max(np.abs(uh - u(system.nodes)))))
 

@@ -10,7 +10,7 @@ Reference data comes from two independent sources, frozen below:
   The published x = 1/3 column for gamma = 0.7 (both schemes) and for
   the quadratic scheme at gamma = 0.3 is inconsistent with the defining
   quantity by an additive O(h^(p+2-gamma)) term traceable to the
-  original tables' evaluation harness (see notes/decisions.md); those
+  original tables' evaluation harness, not to the rules themselves; those
   entries are therefore validated against the DERIVED values, and the
   published values are checked wherever they agree with the definition.
 """

@@ -54,6 +54,19 @@ class TestUsageErrors:
         assert status == 2
         assert "--interval" in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("converge", "--levels", "1"),
+        ("coeffs", "--levels", "9000"),      # above coeffs.MAX_CELLS
+        ("converge", "--levels", "16,24"),   # levels do not nest
+        ("truncation", "--point", "x=2"),    # outside --interval 0,1
+    ])
+    def test_invalid_values_name_flag(self, capsys, command, flag, value):
+        # a repeated flag overrides the earlier one
+        status, _, err = run_cli(capsys, command, "--scheme", "plc", "--gamma",
+                                 "0.5", "--levels", "16", flag, value)
+        assert status == 2
+        assert flag in err
+
 
 class TestCoeffs:
     def test_gamma_zero_interior_weights_all_two(self, capsys):

@@ -1,10 +1,16 @@
 """Reference-integration oracle: cross-route agreement and closed forms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlcolloc
 from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.oracle import (TestFunction, closed_form_integral, constant,
                              exact_nonlocal_rhs, exponential,
@@ -105,3 +111,13 @@ class TestManufacturedProblem:
         with pytest.raises(ValueError, match="node set"):
             exact_nonlocal_rhs(constant(), UniformGrid(0.0, 1.0, 4),
                                KernelParams(0.5), nodes="chebyshev")
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only the adaptive-quadrature reference route and
+    # is most of the import cost, so it is imported where that route runs
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
+    code = "import sys, nlcolloc; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -118,6 +118,19 @@ class TestSystem:
         # the unscaled analytic bound of the convergence analysis
         assert lam / c.sigma >= solver.gershgorin_reference_bound(params, grid)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7])
+    @pytest.mark.parametrize("N", [2, 3, 8, 64])
+    def test_rows_match_single_row_evaluator(self, N, gamma):
+        # A = sigma (D - G), so with zero boundary values row i of
+        # sigma d s - A s is the evaluator's sigma (G s)_i
+        r = rule_for(gamma, N)
+        samples = np.zeros(N + 1)
+        samples[1:N] = np.random.default_rng(N).uniform(1.0, 2.0, N - 1)
+        s = samples[1:N]
+        want = r.coeffs.sigma * r.coeffs.d * s - plc.plc_matrix(r.params, r.grid) @ s
+        got = [plc.plc_integral(r, samples, i) for i in range(1, N)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_rhs_length_validated(self):
         params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, 8)
         prob = exact_nonlocal_rhs(constant(), grid, params, nodes="pqc")

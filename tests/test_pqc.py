@@ -1,5 +1,4 @@
-"""Piecewise quadratic rule: exactness, truncation orders, block structure,
-node orderings."""
+"""Piecewise quadratic rule: exactness, truncation orders, block structure."""
 
 import math
 
@@ -120,45 +119,26 @@ class TestSystem:
             assert slack[row] == pytest.approx(i0 + iN, rel=1e-9)
         assert report.minRowSlack == pytest.approx(np.min(slack))
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7])
+    @pytest.mark.parametrize("N", [2, 3, 8, 64])
+    def test_rows_match_single_row_evaluator(self, N, gamma):
+        # rows in paper order: x_1 .. x_{N-1} (doubled index 2r), then
+        # x_{1/2} .. x_{N-1/2} (doubled index 2s + 1); zero boundary values
+        r = rule_for(gamma, N)
+        rng = np.random.default_rng(N)
+        si = np.zeros(N + 1)
+        si[1:N] = rng.uniform(1.0, 2.0, N - 1)
+        sh = rng.uniform(1.0, 2.0, N)
+        s = np.concatenate([si[1:N], sh])
+        d = np.concatenate([r.coeffs.dHalf[1::2], r.coeffs.dHalf[0::2]])
+        want = r.coeffs.eta * d * s - pqc.pqc_matrix(r.params, r.grid) @ s
+        rows = list(range(2, 2 * N, 2)) + list(range(1, 2 * N, 2))
+        got = [pqc.pqc_integral(r, si, sh, i) for i in rows]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_rhs_length_validated(self):
         params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, 8)
         prob = exact_nonlocal_rhs(constant(), grid, params, nodes="plc")
         with pytest.raises(ValueError, match="right-hand-side"):
             pqc.assemble_pqc_system(params, grid, prob)
 
-
-class TestOrdering:
-    def test_interleaved_nodes_increase(self):
-        params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, 8)
-        prob = exact_nonlocal_rhs(constant(), grid, params, nodes="pqc")
-        system = pqc.assemble_pqc_system(params, grid, prob)
-        inter = pqc.reorder_system(
-            system, pqc.ordering_permutation(8, "pqc-interleaved"))
-        assert np.all(np.diff(inter.nodes) > 0.0)
-
-    def test_round_trip(self):
-        params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, 8)
-        prob = exact_nonlocal_rhs(monomial(1), grid, params, nodes="pqc")
-        system = pqc.assemble_pqc_system(params, grid, prob)
-        inter = pqc.reorder_system(
-            system, pqc.ordering_permutation(8, "pqc-interleaved"))
-        back = pqc.reorder_system(
-            inter, pqc.ordering_permutation(8, "pqc-paper"))
-        assert np.array_equal(back.matrix, system.matrix)
-        assert np.array_equal(back.rhs, system.rhs)
-        assert np.array_equal(back.nodes, system.nodes)
-
-    def test_solution_invariant_under_reordering(self):
-        params, grid = KernelParams(0.3), UniformGrid(0.0, 1.0, 8)
-        prob = exact_nonlocal_rhs(exponential(), grid, params, nodes="pqc")
-        system = pqc.assemble_pqc_system(params, grid, prob)
-        inter = pqc.reorder_system(
-            system, pqc.ordering_permutation(8, "pqc-interleaved"))
-        u1 = solver.solve_dense(system)
-        u2 = solver.solve_dense(inter)
-        perm = pqc.ordering_permutation(8, "pqc-interleaved").permutation
-        assert np.allclose(u1[perm], u2, rtol=1e-12, atol=1e-14)
-
-    def test_unknown_ordering_rejected(self):
-        with pytest.raises(ValueError, match="ordering"):
-            pqc.ordering_permutation(8, "pqc-reversed")

@@ -11,10 +11,8 @@ from nlcolloc.solver import CollocationSystem
 
 
 def wrap(A, b):
-    params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, max(2, len(b)))
-    return CollocationSystem(matrix=A, rhs=b, ordering="plc-interior",
-                             scaling=1.0, scheme="plc", params=params,
-                             grid=grid, nodes=np.arange(len(b), dtype=float))
+    return CollocationSystem(matrix=A, rhs=b, scheme="plc",
+                             nodes=np.arange(len(b), dtype=float))
 
 
 class TestSolveDense:
@@ -94,9 +92,3 @@ def test_gershgorin_reference_bound_positive():
                                                   UniformGrid(0.0, 1.0, 64))
         assert bound > 0.0
 
-
-def test_system_csv_shape():
-    system = wrap(np.eye(2), np.array([1.0, 2.0]))
-    lines = solver.system_csv(system).strip().splitlines()
-    assert len(lines) == 3
-    assert lines[-1].startswith("rhs,")
