@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -109,6 +110,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _attach_negative_values(argv) -> list:
+    """Write `--flag -1,3` as `--flag=-1,3`.
+
+    argparse reads a separate value that starts with '-' and is not a plain
+    number, such as the interval -1,3, as an unknown option.
+    """
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-\.?\d", tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def parse_args(argv) -> CliInvocation:
     parser = _Parser(prog="nlcolloc", description=__doc__, add_help=True)
     parser.add_argument("command", choices=COMMANDS)
@@ -121,7 +138,7 @@ def parse_args(argv) -> CliInvocation:
     parser.add_argument("--format", choices=("csv", "markdown"))
     parser.add_argument("--out")
     parser.add_argument("--config")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
 
     raw = {k: getattr(args, k) for k in _OPTION_KEYS}
     if args.config:

@@ -3,12 +3,11 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import coeffs, moments
 from .grid import KernelParams, UniformGrid
 from .oracle import ManufacturedProblem, TestFunction, singular_integral
-from .solver import CollocationSystem
+from .solver import CollocationSystem, ToeplitzStructure
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,14 @@ def truncation_error(rule: PlcIntegralRule, u: TestFunction, x: float,
     return abs(exact - approx)
 
 
+def structure(c: coeffs.PlcCoeffs) -> ToeplitzStructure:
+    """sigma * (D - G): G the symmetric Toeplitz matrix of g, D positive diagonal."""
+    return ToeplitzStructure(scale=c.sigma, diag=c.d, blocks=(((c.g, c.g),),))
+
+
 def operator(c: coeffs.PlcCoeffs) -> np.ndarray:
-    """sigma * (D - G): symmetric Toeplitz minus-structure with positive diagonal."""
-    return c.sigma * (np.diag(c.d) - toeplitz(c.g))
+    """The dense matrix of structure(c)."""
+    return structure(c).dense()
 
 
 def plc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
@@ -88,8 +92,9 @@ def assemble_plc_system(params: KernelParams, grid: UniformGrid,
     c = coeffs.plc_weights(params, grid)
     u0, uN = problem.boundary
     rhs = problem.fValues + c.sigma * (c.alpha * u0 + c.alpha[::-1] * uN)
-    return CollocationSystem(matrix=operator(c), rhs=rhs, scheme="plc",
-                             nodes=nodes(grid))
+    op = structure(c)
+    return CollocationSystem(matrix=op.dense(), rhs=rhs, scheme="plc",
+                             nodes=nodes(grid), structure=op)
 
 
 # --- scheme interface -------------------------------------------------------

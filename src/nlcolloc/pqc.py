@@ -12,7 +12,7 @@ import numpy as np
 from . import coeffs, moments
 from .grid import KernelParams, UniformGrid
 from .oracle import ManufacturedProblem, TestFunction, singular_integral
-from .solver import CollocationSystem
+from .solver import CollocationSystem, ToeplitzStructure
 
 
 @dataclass(frozen=True)
@@ -26,22 +26,38 @@ def make_rule(params: KernelParams, grid: UniformGrid) -> PqcIntegralRule:
     return PqcIntegralRule(coeffs.pqc_weights(params, grid), grid, params)
 
 
-# The four block index maps, shared by the single-row evaluator (scalar row
-# index) and the matrix (column of row indices).  Columns run over the
-# integer nodes j = 1..N-1 and the half nodes x_{jh + 1/2}, jh = 0..N-1.
+# The four block index maps.  Rows are the integer nodes x_r, r = 1..N-1,
+# then the half nodes x_{s + 1/2}, s = 0..N-1; columns run over the integer
+# unknowns j = 1..N-1, then the half unknowns x_{jh + 1/2}, jh = 0..N-1.
+# Each weight depends on its row and column only through the offset
+# k = (r or s) - (j or jh), so every block is Toeplitz.  The maps serve the
+# single-row evaluator (one row of offsets) and the operator's Toeplitz
+# generators (its blocks' first columns and rows).
+
+def _m(c, k): return c.m[np.abs(k)]
+def _q(c, k): return c.q[(np.abs(2 * k - 1) - 1) // 2]
+def _p(c, k): return c.p[(np.abs(2 * k + 1) - 1) // 2]
+def _n(c, k): return c.n[np.abs(k)]
+
+
+_BLOCKS = ((_m, _q), (_p, _n))     # [[M Q]; [P N]]
+
+
+def _unknowns(N: int):
+    """Indices of the integer unknowns, 1..N-1, and of the half unknowns, 0..N-1."""
+    return np.arange(1, N), np.arange(N)
+
 
 def _integer_rows(c: coeffs.PqcCoeffs, r):
-    """Weights M, Q of the integer and half unknowns in the rows of x_r."""
-    N = len(c.n)
-    j, jh = np.arange(1, N), np.arange(N)
-    return c.m[np.abs(r - j)], c.q[(np.abs(2 * (r - jh) - 1) - 1) // 2]
+    """Weights M, Q of the integer and half unknowns in the row of x_r."""
+    j, jh = _unknowns(len(c.n))
+    return _m(c, r - j), _q(c, r - jh)
 
 
 def _half_rows(c: coeffs.PqcCoeffs, s):
-    """Weights P, N of the integer and half unknowns in the rows of x_{s + 1/2}."""
-    N = len(c.n)
-    j, jh = np.arange(1, N), np.arange(N)
-    return c.p[(np.abs(2 * (s - j) + 1) - 1) // 2], c.n[np.abs(s - jh)]
+    """Weights P, N of the integer and half unknowns in the row of x_{s + 1/2}."""
+    j, jh = _unknowns(len(c.n))
+    return _p(c, s - j), _n(c, s - jh)
 
 
 def pqc_integral(rule: PqcIntegralRule, int_samples: np.ndarray,
@@ -105,19 +121,24 @@ def pqc_truncation_at(rule: PqcIntegralRule, u: TestFunction, x: float,
 
 # --- system assembly --------------------------------------------------------
 
-def operator(c: coeffs.PqcCoeffs) -> np.ndarray:
+def structure(c: coeffs.PqcCoeffs) -> ToeplitzStructure:
     """eta * ([D1 0; 0 D2] - [M Q; P N]) in the integers-then-halves ordering."""
-    N = len(c.n)
-    M, Q = _integer_rows(c, np.arange(1, N)[:, None])
-    P, Nb = _half_rows(c, np.arange(N)[:, None])
-    A = np.zeros((2 * N - 1, 2 * N - 1))
+    indices = _unknowns(len(c.n))
+    # a block's first column holds the offsets rows - cols[0], its first
+    # row the offsets rows[0] - cols
+    blocks = tuple(
+        tuple((w(c, rows - cols[0]), w(c, rows[0] - cols))
+              for w, cols in zip(maps, indices))
+        for maps, rows in zip(_BLOCKS, indices))
     d_int = c.dHalf[1::2]          # d_1 .. d_{N-1}
     d_half = c.dHalf[0::2]         # d_{1/2} .. d_{N-1/2}
-    A[:N - 1, :N - 1] = np.diag(d_int) - M
-    A[:N - 1, N - 1:] = -Q
-    A[N - 1:, :N - 1] = -P
-    A[N - 1:, N - 1:] = np.diag(d_half) - Nb
-    return c.eta * A
+    return ToeplitzStructure(scale=c.eta, diag=np.concatenate([d_int, d_half]),
+                             blocks=blocks)
+
+
+def operator(c: coeffs.PqcCoeffs) -> np.ndarray:
+    """The dense matrix of structure(c)."""
+    return structure(c).dense()
 
 
 def pqc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
@@ -150,8 +171,9 @@ def assemble_pqc_system(params: KernelParams, grid: UniformGrid,
         f_int + c.eta * (c.beta * u0 + c.beta[::-1] * uN),
         f_half + c.eta * (c.gammaB * u0 + c.gammaB[::-1] * uN),
     ])
-    return CollocationSystem(matrix=operator(c), rhs=rhs, scheme="pqc",
-                             nodes=nodes(grid))
+    op = structure(c)
+    return CollocationSystem(matrix=op.dense(), rhs=rhs, scheme="pqc",
+                             nodes=nodes(grid), structure=op)
 
 
 # --- scheme interface -------------------------------------------------------

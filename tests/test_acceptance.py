@@ -98,16 +98,13 @@ FLOOR = 1e-12
 def _truncation_column(scheme, gamma, column):
     u = exponential()
     params = KernelParams(gamma)
-    make = plc.make_rule if scheme == "plc" else pqc.make_rule
+    definition = study.SCHEMES[scheme]
     errs = []
     for N in LEVELS:
         grid = UniformGrid(0.0, 1.0, N)
-        rule = make(params, grid)
+        rule = definition.make_rule(params, grid)
         x = {"h": grid.h, "third": 1.0 / 3.0, "half": 0.5}[column]
-        if scheme == "plc":
-            errs.append(plc.truncation_error(rule, u, x, 1e-14))
-        else:
-            errs.append(pqc.pqc_truncation_at(rule, u, x, 1e-14))
+        errs.append(definition.truncation(rule, u, x, 1e-14))
     return errs
 
 
@@ -118,10 +115,7 @@ def _global_errors(scheme, gamma):
     for N in GLOBAL_LEVELS:
         grid = UniformGrid(0.0, 1.0, N)
         prob = exact_nonlocal_rhs(u, grid, params, nodes=scheme)
-        if scheme == "plc":
-            system = plc.assemble_plc_system(params, grid, prob)
-        else:
-            system = pqc.assemble_pqc_system(params, grid, prob)
+        system = study.SCHEMES[scheme].assemble(params, grid, prob)
         uh = solver.solve_dense(system)
         errs.append(float(np.max(np.abs(uh - u(system.nodes)))))
     return errs
@@ -310,10 +304,9 @@ def test_criterion_6_exactness_suite():
                 got = pqc.pqc_integral(rq, si, sh, i)
                 assert abs(got - want) <= 1e-11 * abs(want)
         # both global solvers reproduce u == 1 at all nodes
-        for scheme, assemble in (("plc", plc.assemble_plc_system),
-                                 ("pqc", pqc.assemble_pqc_system)):
+        for scheme, definition in study.SCHEMES.items():
             prob = exact_nonlocal_rhs(constant(1.0), grid, params, nodes=scheme)
-            sol = solver.solve_dense(assemble(params, grid, prob))
+            sol = solver.solve_dense(definition.assemble(params, grid, prob))
             assert np.max(np.abs(sol - 1.0)) <= 1e-10
     _report(6, "exactness on the interpolation spaces and constant solutions")
 

@@ -124,6 +124,15 @@ class TestStudies:
         assert status == 0
         assert out.startswith("| N | h |")
 
+    def test_negative_interval_as_separate_value(self, capsys):
+        args = ("converge", "--scheme", "plc", "--gamma", "0.3",
+                "--levels", "8")
+        status, joined, _ = run_cli(capsys, *args, "--interval=-1,3")
+        assert status == 0
+        status, separate, _ = run_cli(capsys, *args, "--interval", "-1,3")
+        assert status == 0
+        assert separate == joined
+
 
 class TestDeterminismAndIo:
     ARGS = ("truncation", "--scheme", "plc", "--gamma", "0.3",
