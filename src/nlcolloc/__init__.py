@@ -12,7 +12,7 @@ from .coeffs import (PlcCoeffs, PqcCoeffs, eta_scaling, plc_weights,
 from .oracle import (ManufacturedProblem, OracleError, TestFunction,
                      boundary_basis_integrals, closed_form_integral, constant,
                      exact_nonlocal_rhs, exponential, kernel_row_integral,
-                     monomial, singular_integral)
+                     monomial, singular_integral, singular_integrals)
 from .plc import (PlcIntegralRule, assemble_plc_system, plc_integral,
                   plc_matrix, truncation_error)
 from .plc import make_rule as make_plc_rule
@@ -34,6 +34,7 @@ __all__ = [
     "plc_weights", "pqc_weights",
     "TestFunction", "constant", "monomial", "exponential",
     "ManufacturedProblem", "OracleError", "singular_integral",
+    "singular_integrals",
     "closed_form_integral", "kernel_row_integral", "exact_nonlocal_rhs",
     "boundary_basis_integrals",
     "PlcIntegralRule", "make_plc_rule", "plc_integral", "plc_matrix",

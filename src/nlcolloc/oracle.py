@@ -64,10 +64,25 @@ def exponential() -> TestFunction:
     return TestFunction("exp")
 
 
-def kernel_row_integral(a: float, b: float, gamma: float, x: float) -> float:
-    """int_a^b |x - y|^(-gamma) dy = [(x-a)^(1-g) + (b-x)^(1-g)] / (1-g)."""
+def kernel_row_integral(a: float, b: float, gamma: float, x):
+    """int_a^b |x - y|^(-gamma) dy = [(x-a)^(1-g) + (b-x)^(1-g)] / (1-g).
+
+    x may be a float or an array of points.
+    """
     e = 1.0 - gamma
-    return ((x - a) ** e + (b - x) ** e) / e
+    return (_pow(x - a, e) + _pow(b - x, e)) / e
+
+
+def _pow(base, e: float):
+    """base ** e per element with the C library's pow.
+
+    numpy's vectorised power (like its exp) can differ from the C library in
+    the last bit, depending on the CPU's SIMD support; the oracle's values
+    must not.
+    """
+    if np.ndim(base) == 0:
+        return float(base) ** e
+    return np.array([v ** e for v in base.tolist()])
 
 
 # --- Gauss-Jacobi route -----------------------------------------------------
@@ -138,79 +153,136 @@ def _gj_rule(n: int, gamma: float):
     return _GJ_CACHE[key]
 
 
-def _one_sided(u, x: float, L: float, gamma: float, sign: float, n: int) -> float:
-    # int_0^L u(x + sign*t) t^(-gamma) dt == L^(1-gamma) int_0^1 u(x + sign*L*s) s^(-gamma) ds
-    if L <= 0.0:
-        return 0.0
+def _sides(a: float, b: float, x: np.ndarray):
+    """Lengths and directions of the left and right sides of every x:
+    (x - a, b - x) and (-1, +1), each concatenated left first."""
+    signs = np.ones(2 * x.size)
+    signs[:x.size] = -1.0
+    return np.concatenate([x - a, b - x]), signs
+
+
+# Quadrature points per working array in _one_sided: 2**17 long doubles are
+# 2 MB, so a node set that fails to converge up to MAX_NODES_PER_SIDE costs a
+# few MB instead of nodes x 4096 x 16 B.
+CHUNK_ENTRIES = 2 ** 17
+
+
+def _one_sided(u, x, L, gamma: float, sign, n: int):
+    """int_0^L u(x + sign*t) t^(-gamma) dt for each x, L > 0 and sign = +-1
+    (floats, or arrays of one shape).
+
+    Uses int_0^L u(x + sign*t) t^(-gamma) dt
+    == L^(1-gamma) int_0^1 u(x + sign*L*s) s^(-gamma) ds with the n-point
+    rule, over row chunks of at most CHUNK_ENTRIES points.
+    """
     s, w = _gj_rule(n, gamma)
-    acc = w @ np.asarray(u(x + sign * L * s), dtype=np.longdouble)
-    return float(np.longdouble(L) ** (1.0 - np.longdouble(gamma)) * acc)
+    shape = np.shape(x)
+    x, L = np.ravel(x), np.ravel(L)
+    step = sign * L
+    acc = np.empty(x.size, dtype=np.longdouble)
+    rows = max(1, CHUNK_ENTRIES // n)
+    for lo in range(0, x.size, rows):
+        y = step[lo:lo + rows, None] * s
+        y += x[lo:lo + rows, None]
+        acc[lo:lo + rows] = np.asarray(u(y), dtype=np.longdouble) @ w
+    scale = L.astype(np.longdouble) ** (1.0 - np.longdouble(gamma))
+    return (scale * acc).astype(float).reshape(shape)
 
 
-def singular_integral(u: TestFunction, interval, params: KernelParams,
-                      x: float, tol: float = 1e-12) -> float:
-    """I(a, b, x) = int_a^b u(y) |x - y|^(-gamma) dy to absolute error <= tol.
+def singular_integrals(u: TestFunction, interval, params: KernelParams,
+                       xs, tol: float = 1e-12) -> np.ndarray:
+    """I(a, b, x) = int_a^b u(y) |x - y|^(-gamma) dy at every x of the 1-D
+    array xs, each to absolute error <= tol.
 
-    Node counts double per side until successive estimates differ by less
-    than tol/4; the exponential kind is additionally cross-checked against
-    its series expansion.
+    Node counts double per side until successive estimates at a point differ
+    by less than tol/4; each point stops at its own level.  The exponential
+    kind is additionally cross-checked, point by point, against its series
+    expansion.
     """
     a, b = interval
-    if not a < x < b:
-        raise ValueError(f"x={x} must lie strictly inside ({a}, {b})")
+    xs = np.asarray(xs, dtype=float)
+    outside = ~((a < xs) & (xs < b))
+    if outside.any():
+        raise ValueError(f"x={xs[outside][0]} must lie strictly inside ({a}, {b})")
     if tol < 1e-14:
         raise ValueError("tol below 1e-14 is not attainable in double precision")
     gamma = params.gamma
 
+    def both_sides(x, n):
+        lengths, signs = _sides(a, b, x)
+        sides = _one_sided(u, np.concatenate([x, x]), lengths, gamma, signs, n)
+        return sides[:x.size] + sides[x.size:]
+
+    values = np.empty(xs.size)
+    todo = np.arange(xs.size)
     n = 4
-    prev = _one_sided(u, x, x - a, gamma, -1.0, n) \
-        + _one_sided(u, x, b - x, gamma, +1.0, n)
-    while True:
+    prev = both_sides(xs, n)
+    while todo.size:
         n *= 2
         if n > MAX_NODES_PER_SIDE:
             raise OracleError(
                 f"Gauss-Jacobi doubling did not converge below {tol} "
                 f"within {MAX_NODES_PER_SIDE} nodes per side")
-        cur = _one_sided(u, x, x - a, gamma, -1.0, n) \
-            + _one_sided(u, x, b - x, gamma, +1.0, n)
+        cur = both_sides(xs[todo], n)
         # the roundoff term keeps tiny tolerances attainable on O(1) integrals
-        if abs(cur - prev) < tol / 4.0 + 2e-14 * abs(cur):
-            break
-        prev = cur
+        done = np.abs(cur - prev) < tol / 4.0 + 2e-14 * np.abs(cur)
+        values[todo[done]] = cur[done]
+        todo, prev = todo[~done], cur[~done]
 
     if u.kind == "exp":
         # the series carries less roundoff than the quadrature weights, so
         # after the two routes validate each other, prefer its value
-        ref = _exp_integral_series(a, b, gamma, x, tol)
-        if abs(cur - ref) > 100.0 * tol:
+        ref = _exp_integral_series(a, b, gamma, xs, tol)
+        bad = np.abs(values - ref) > 100.0 * tol
+        if bad.any():
+            i = np.argmax(bad)
             raise OracleError(
-                f"Gauss-Jacobi ({cur!r}) and series ({ref!r}) disagree")
+                f"Gauss-Jacobi ({float(values[i])!r}) and series "
+                f"({float(ref[i])!r}) disagree at x={float(xs[i])!r}")
         return ref
-    return cur
+    return values
+
+
+def singular_integral(u: TestFunction, interval, params: KernelParams,
+                      x: float, tol: float = 1e-12) -> float:
+    """I(a, b, x) at one point x; see singular_integrals."""
+    return float(singular_integrals(u, interval, params, np.array([x]), tol)[0])
 
 
 # --- independent second routes ---------------------------------------------
 
-def _exp_power_series(c: float, sign: float, gamma: float, tol: float) -> float:
-    """int_0^c e^(sign*t) t^(-gamma) dt by its convergent series."""
-    if c <= 0.0:
-        return 0.0
-    total = 0.0
-    term_base = 1.0  # sign^k c^k / k!
+def _exp_power_series(c: np.ndarray, sign: np.ndarray, gamma: float,
+                      tol: float) -> np.ndarray:
+    """int_0^c e^(sign*t) t^(-gamma) dt by its convergent series, for each
+    pair of c and sign in 1-D arrays (0 where c <= 0); each element stops at
+    its own term."""
+    total = np.zeros(c.size)
+    todo = np.flatnonzero(c > 0.0)
+    step = (sign * c)[todo]
+    cpow = _pow(c[todo], 1.0 - gamma)
+    partial = np.zeros(todo.size)
+    term_base = np.ones(todo.size)  # sign^k c^k / k!
     for k in range(0, 500):
-        term = term_base * c ** (1.0 - gamma) / (k + 1.0 - gamma)
-        total += term
-        if abs(term) < tol / 10.0 and k > 2:
-            return total
-        term_base *= sign * c / (k + 1.0)
+        term = term_base * cpow / (k + 1.0 - gamma)
+        partial += term
+        if k > 2:
+            done = np.abs(term) < tol / 10.0
+            if done.any():
+                total[todo[done]] = partial[done]
+                keep = ~done
+                todo, cpow, step = todo[keep], cpow[keep], step[keep]
+                partial, term_base = partial[keep], term_base[keep]
+            if not todo.size:
+                return total
+        term_base *= step / (k + 1.0)
     raise OracleError("series for the exponential integral did not converge")
 
 
-def _exp_integral_series(a: float, b: float, gamma: float, x: float,
-                         tol: float) -> float:
-    left = _exp_power_series(x - a, -1.0, gamma, tol)
-    right = _exp_power_series(b - x, +1.0, gamma, tol)
-    return math.exp(x) * (left + right)
+def _exp_integral_series(a: float, b: float, gamma: float, x: np.ndarray,
+                         tol: float) -> np.ndarray:
+    sides = _exp_power_series(*_sides(a, b, x), gamma, tol)
+    return np.array([math.exp(v) for v in x.tolist()]) \
+        * (sides[:x.size] + sides[x.size:])
 
 
 def closed_form_integral(u: TestFunction, interval, params: KernelParams,
@@ -221,7 +293,7 @@ def closed_form_integral(u: TestFunction, interval, params: KernelParams,
     if u.kind == "const":
         return u.c * kernel_row_integral(a, b, gamma, x)
     if u.kind == "exp":
-        return _exp_integral_series(a, b, gamma, x, tol)
+        return float(_exp_integral_series(a, b, gamma, np.array([x]), tol)[0])
     # monomial: expand y^p about x; odd powers flip sign on the left side
     total = 0.0
     for j in range(u.p + 1):
@@ -261,12 +333,8 @@ def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
         xs = grid.collocation_nodes_pqc()
     else:
         raise ValueError(f"unknown node set {nodes!r}")
-    uvals = u(xs)
-    f = np.array([
-        uv * kernel_row_integral(grid.a, grid.b, params.gamma, x)
-        - singular_integral(u, (grid.a, grid.b), params, x, tol)
-        for x, uv in zip(xs, uvals)
-    ])
+    f = u(xs) * kernel_row_integral(grid.a, grid.b, params.gamma, xs) \
+        - singular_integrals(u, (grid.a, grid.b), params, xs, tol)
     return ManufacturedProblem(
         u=u, grid=grid, params=params, nodes=xs, fValues=f,
         boundary=(float(u(grid.a)), float(u(grid.b))), oracleTolerance=tol)

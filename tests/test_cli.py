@@ -133,6 +133,16 @@ class TestStudies:
         assert status == 0
         assert separate == joined
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the oracle's left exponential series cancels on long intervals: on "
+        "(0, 20) it is off by up to 8.6e-10 relative, so the absolute "
+        "Gauss-Jacobi-vs-series gate rejects every node (ROADMAP item 5)"))
+    def test_converge_on_long_interval(self, capsys):
+        status, _, err = run_cli(capsys, "converge", "--scheme", "pqc",
+                                 "--gamma", "0.3", "--levels", "16,32",
+                                 "--interval=0,20")
+        assert status == 0, err
+
 
 class TestDeterminismAndIo:
     ARGS = ("truncation", "--scheme", "plc", "--gamma", "0.3",

@@ -1,8 +1,10 @@
 """Reference-integration oracle: cross-route agreement and closed forms."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlcolloc
+from nlcolloc import oracle
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.oracle import (TestFunction, closed_form_integral, constant,
-                             exact_nonlocal_rhs, exponential,
-                             kernel_row_integral, monomial, singular_integral)
+from nlcolloc.oracle import (OracleError, TestFunction, closed_form_integral,
+                             constant, exact_nonlocal_rhs, exponential,
+                             kernel_row_integral, monomial, singular_integral,
+                             singular_integrals)
 
 
 class TestKernelRowIntegral:
@@ -111,6 +115,185 @@ class TestManufacturedProblem:
         with pytest.raises(ValueError, match="node set"):
             exact_nonlocal_rhs(constant(), UniformGrid(0.0, 1.0, 4),
                                KernelParams(0.5), nodes="chebyshev")
+
+
+# --- the per-point scalar oracle, kept as the bitwise reference -------------
+#
+# singular_integrals evaluates every point at once; these are the scalar
+# routines it replaced.  The manufactured right-hand sides feed the frozen
+# table CSVs, so the batched values must equal them bit for bit.
+
+def _scalar_kernel_row_integral(a, b, gamma, x):
+    e = 1.0 - gamma
+    return ((x - a) ** e + (b - x) ** e) / e
+
+
+def _scalar_one_sided(u, x, L, gamma, sign, n):
+    if L <= 0.0:
+        return 0.0
+    s, w = oracle._gj_rule(n, gamma)
+    acc = w @ np.asarray(u(x + sign * L * s), dtype=np.longdouble)
+    return float(np.longdouble(L) ** (1.0 - np.longdouble(gamma)) * acc)
+
+
+def _scalar_exp_power_series(c, sign, gamma, tol):
+    if c <= 0.0:
+        return 0.0
+    total = 0.0
+    term_base = 1.0
+    for k in range(0, 500):
+        term = term_base * c ** (1.0 - gamma) / (k + 1.0 - gamma)
+        total += term
+        if abs(term) < tol / 10.0 and k > 2:
+            return total
+        term_base *= sign * c / (k + 1.0)
+    raise OracleError("series for the exponential integral did not converge")
+
+
+def _scalar_singular_integral(u, interval, params, x, tol=1e-12):
+    a, b = interval
+    gamma = params.gamma
+    n = 4
+    prev = _scalar_one_sided(u, x, x - a, gamma, -1.0, n) \
+        + _scalar_one_sided(u, x, b - x, gamma, +1.0, n)
+    while True:
+        n *= 2
+        if n > oracle.MAX_NODES_PER_SIDE:
+            raise OracleError("Gauss-Jacobi doubling did not converge")
+        cur = _scalar_one_sided(u, x, x - a, gamma, -1.0, n) \
+            + _scalar_one_sided(u, x, b - x, gamma, +1.0, n)
+        if abs(cur - prev) < tol / 4.0 + 2e-14 * abs(cur):
+            break
+        prev = cur
+    if u.kind == "exp":
+        ref = math.exp(x) * (_scalar_exp_power_series(x - a, -1.0, gamma, tol)
+                             + _scalar_exp_power_series(b - x, +1.0, gamma, tol))
+        if abs(cur - ref) > 100.0 * tol:
+            raise OracleError("Gauss-Jacobi and series disagree")
+        return ref
+    return cur
+
+
+def _scalar_rhs(u, grid, params, nodes, tol):
+    xs = grid.interior_nodes() if nodes == "plc" else grid.collocation_nodes_pqc()
+    interval = (grid.a, grid.b)
+    return np.array([
+        uv * _scalar_kernel_row_integral(grid.a, grid.b, params.gamma, x)
+        - _scalar_singular_integral(u, interval, params, x, tol)
+        for x, uv in zip(xs, u(xs))
+    ])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
+@pytest.mark.parametrize("u", [constant(2.5), monomial(3), exponential()],
+                         ids=["const", "monomial", "exp"])
+def test_batched_rhs_bitwise_equals_scalar_oracle(u, gamma):
+    params = KernelParams(gamma)
+    for interval in ((0.0, 1.0), (-1.0, 3.0), (0.0, 1e-3)):
+        for N in (2, 3, 64, 700):
+            grid = UniformGrid(*interval, N)
+            for nodes in ("plc", "pqc"):
+                for tol in (1e-12, 1e-13):
+                    try:
+                        want = _scalar_rhs(u, grid, params, nodes, tol)
+                    except OracleError:
+                        with pytest.raises(OracleError):
+                            exact_nonlocal_rhs(u, grid, params, nodes, tol)
+                        continue
+                    got = exact_nonlocal_rhs(u, grid, params, nodes, tol).fValues
+                    assert np.array_equal(got, want), (interval, N, nodes, tol)
+
+
+@pytest.mark.parametrize("u", [constant(2.5), monomial(3), exponential()],
+                         ids=["const", "monomial", "exp"])
+def test_singular_integral_bitwise_at_table_points(u):
+    # the truncation tables evaluate at the first node, 1/3 and the centre
+    for gamma in (0.3, 0.7):
+        params = KernelParams(gamma)
+        for N in (64, 128, 256, 512):
+            grid = UniformGrid(0.0, 1.0, N)
+            for x in (grid.a + grid.h, 1.0 / 3.0, 0.5):
+                for tol in (1e-13, 1e-14):
+                    want = _scalar_singular_integral(u, (0.0, 1.0), params, x, tol)
+                    got = singular_integral(u, (0.0, 1.0), params, x, tol)
+                    assert got == want, (gamma, N, x, tol)
+
+
+class TestBatchedFailures:
+    # On (0, 0.5) at gamma = 0.7, e^y converges at 8 nodes per side near the
+    # centre and needs 16 near the ends.
+    FAST = np.linspace(0.2, 0.3, 40)
+    SLOW = 0.49
+
+    def test_one_slow_point_among_many_raises(self, monkeypatch):
+        u, params = exponential(), KernelParams(0.7)
+        monkeypatch.setattr(oracle, "MAX_NODES_PER_SIDE", 8)
+        singular_integrals(u, (0.0, 0.5), params, self.FAST)
+        xs = np.insert(self.FAST, 17, self.SLOW)
+        with pytest.raises(OracleError, match="did not converge"):
+            singular_integrals(u, (0.0, 0.5), params, xs)
+
+    def test_one_series_disagreement_raises(self, monkeypatch):
+        u, params = exponential(), KernelParams(0.7)
+        xs = np.linspace(0.1, 0.9, 33)
+        singular_integrals(u, (0.0, 1.0), params, xs)
+        series = oracle._exp_power_series
+
+        def off_at_one_point(c, sign, gamma, tol):
+            values = series(c, sign, gamma, tol)
+            values[20] += 1e-9
+            return values
+
+        monkeypatch.setattr(oracle, "_exp_power_series", off_at_one_point)
+        with pytest.raises(OracleError, match=r"disagree at x=0\.6"):
+            singular_integrals(u, (0.0, 1.0), params, xs)
+
+    def test_endpoint_among_points_rejected(self):
+        xs = np.array([0.25, 0.5, 1.0])
+        with pytest.raises(ValueError, match="strictly inside"):
+            singular_integrals(constant(), (0.0, 1.0), KernelParams(0.5), xs)
+
+    def test_unattainable_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="1e-14"):
+            singular_integrals(constant(), (0.0, 1.0), KernelParams(0.5),
+                               np.array([0.25, 0.5]), tol=1e-15)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+class TestBoundedMemory:
+    def test_large_rhs(self):
+        grid, params = UniformGrid(0.0, 1.0, 4096), KernelParams(0.7)
+        exact_nonlocal_rhs(exponential(), UniformGrid(0.0, 1.0, 8), params)
+        peak = _peak_bytes(lambda: exact_nonlocal_rhs(
+            exponential(), grid, params, nodes="plc", tol=1e-13))
+        assert peak <= 8e6, peak
+
+    def test_non_converging_points_stay_chunked(self, monkeypatch):
+        # a rule whose weights change by 1e-6 between levels never converges,
+        # so all 1023 points reach 4096 nodes per side: one unchunked
+        # working array would be 1023 x 4096 x 16 B = 67 MB
+        def drifting_rule(n, gamma):
+            s = np.linspace(0.0, 1.0, n, dtype=np.longdouble)
+            return s, np.full(n, 1.0 + 1e-6 * (n.bit_length() % 2),
+                              dtype=np.longdouble) / n
+
+        monkeypatch.setattr(oracle, "_gj_rule", drifting_rule)
+
+        def run():
+            with pytest.raises(OracleError, match="did not converge"):
+                exact_nonlocal_rhs(constant(), UniformGrid(0.0, 1.0, 1024),
+                                   KernelParams(0.7), nodes="plc")
+
+        assert _peak_bytes(run) <= 16e6
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
