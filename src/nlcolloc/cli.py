@@ -226,9 +226,9 @@ def _cmd_check(opt) -> str:
     out = []
     for N in opt["levels"]:
         grid = UniformGrid(a, b, N)
-        A = scheme.operator(scheme.make_rule(params, grid).coeffs)
+        op = scheme.structure(scheme.make_rule(params, grid).coeffs)
         report = solver.check_structure(CollocationSystem(
-            matrix=A, rhs=np.zeros(len(A)), scheme=opt["scheme"],
+            operator=op, rhs=np.zeros(len(op.diag)), scheme=opt["scheme"],
             nodes=scheme.nodes(grid)))
         out.append(f"N = {N}")
         for name, value in (

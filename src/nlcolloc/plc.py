@@ -68,14 +68,10 @@ def structure(c: coeffs.PlcCoeffs) -> ToeplitzStructure:
     return ToeplitzStructure(scale=c.sigma, diag=c.d, blocks=(((c.g, c.g),),))
 
 
-def operator(c: coeffs.PlcCoeffs) -> np.ndarray:
-    """The dense matrix of structure(c)."""
-    return structure(c).dense()
-
-
 def plc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
-    """The scheme's operator, with its weight tables built from (params, grid)."""
-    return operator(coeffs.plc_weights(params, grid))
+    """The dense matrix of the scheme's operator, with its weight tables
+    built from (params, grid)."""
+    return structure(coeffs.plc_weights(params, grid)).dense()
 
 
 def nodes(grid: UniformGrid) -> np.ndarray:
@@ -92,14 +88,13 @@ def assemble_plc_system(params: KernelParams, grid: UniformGrid,
     c = coeffs.plc_weights(params, grid)
     u0, uN = problem.boundary
     rhs = problem.fValues + c.sigma * (c.alpha * u0 + c.alpha[::-1] * uN)
-    op = structure(c)
-    return CollocationSystem(matrix=op.dense(), rhs=rhs, scheme="plc",
-                             nodes=nodes(grid), structure=op)
+    return CollocationSystem(operator=structure(c), rhs=rhs, scheme="plc",
+                             nodes=nodes(grid))
 
 
 # --- scheme interface -------------------------------------------------------
 # study.SCHEMES maps 'plc' to this module.  study and cli call make_rule,
-# operator, nodes and the two functions below, names that pqc shares.  The
+# structure, nodes and the two functions below, names that pqc shares.  The
 # two look the scheme's own functions up at call time, so rebinding those
 # module attributes still takes effect.
 

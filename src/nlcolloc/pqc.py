@@ -136,14 +136,10 @@ def structure(c: coeffs.PqcCoeffs) -> ToeplitzStructure:
                              blocks=blocks)
 
 
-def operator(c: coeffs.PqcCoeffs) -> np.ndarray:
-    """The dense matrix of structure(c)."""
-    return structure(c).dense()
-
-
 def pqc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
-    """The scheme's operator, with its weight tables built from (params, grid)."""
-    return operator(coeffs.pqc_weights(params, grid))
+    """The dense matrix of the scheme's operator, with its weight tables
+    built from (params, grid)."""
+    return structure(coeffs.pqc_weights(params, grid)).dense()
 
 
 def nodes(grid: UniformGrid) -> np.ndarray:
@@ -171,14 +167,13 @@ def assemble_pqc_system(params: KernelParams, grid: UniformGrid,
         f_int + c.eta * (c.beta * u0 + c.beta[::-1] * uN),
         f_half + c.eta * (c.gammaB * u0 + c.gammaB[::-1] * uN),
     ])
-    op = structure(c)
-    return CollocationSystem(matrix=op.dense(), rhs=rhs, scheme="pqc",
-                             nodes=nodes(grid), structure=op)
+    return CollocationSystem(operator=structure(c), rhs=rhs, scheme="pqc",
+                             nodes=nodes(grid))
 
 
 # --- scheme interface -------------------------------------------------------
 # study.SCHEMES maps 'pqc' to this module.  study and cli call make_rule,
-# operator, nodes and the two functions below, names that plc shares.  The
+# structure, nodes and the two functions below, names that plc shares.  The
 # two look the scheme's own functions up at call time, so rebinding those
 # module attributes still takes effect.
 

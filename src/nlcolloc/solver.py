@@ -1,7 +1,8 @@
 """Solves and structural diagnostics shared by both collocation schemes."""
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -11,9 +12,11 @@ from .grid import KernelParams, UniformGrid
 
 # Above this many unknowns solve_dense takes the Krylov path when the system
 # carries its Toeplitz structure.  With one thread on a 2-core Xeon VM and
-# gamma in 0.3..0.95, LU beats GMRES at 511 unknowns (4-5 ms against
-# 5-15 ms) and loses at 1023 (22-28 ms against 7-21 ms), so every system
-# up to 1024 unknowns stays on LU.
+# gamma in 0.3..0.95, both schemes, LU (forming the matrix included) takes
+# 5.5-6.4 ms at 511 unknowns against 1.5-10 ms for GMRES, which wins for
+# PLC at gamma <= 0.7 but loses for PQC at gamma >= 0.7; at 1023 LU takes
+# 33-37 ms against 3-13 ms.  Neither path wins throughout at 511 and GMRES
+# does at 1023, so every system up to 1024 unknowns stays on LU.
 KRYLOV_MIN_UNKNOWNS = 1024
 KRYLOV_RTOL = 1e-13          # GMRES stopping tolerance, relative to ||b||
 KRYLOV_ACCEPT = 1e-12        # largest true relative residual accepted
@@ -36,8 +39,8 @@ class ToeplitzStructure:
     blocks[p][q] is the (first column, first row) pair that generates block
     (p, q), as scipy.linalg.toeplitz takes them: the first columns of block
     row p have that block row's height, the first rows of block column q
-    that block column's width.  The dense matrix and the FFT matvec are
-    both built from this one description.
+    that block column's width.  Submatrices, the dense matrix and the FFT
+    matvec are all built from this one description.
     """
 
     scale: float
@@ -54,25 +57,62 @@ class ToeplitzStructure:
                 c0 += len(row)
             r0 += height
 
-    def dense(self) -> np.ndarray:
-        """The matrix, filled block by block into one array and scaled in
-        place: no n-by-n temporary besides the result."""
-        n = len(self.diag)
-        A = np.empty((n, n))
+    @cached_property
+    def _windows(self):
+        """(row slice, column slice, block) of every block, each block the
+        strided view that scipy.linalg.toeplitz would copy out."""
+        return [(rows, cols, sliding_window_view(
+                    np.concatenate((column[::-1], row[1:])), len(row))[::-1])
+                for rows, cols, (column, row) in self._tiles()]
+
+    @cached_property
+    def _spectra(self):
+        """(row slice, column slice, FFT length, spectrum) of every block:
+        the rfft of its circulant embedding, of a power-of-two length L of at
+        least m + k - 1 for an m-by-k block (first column, then zeros, then
+        the first row reversed)."""
+        spectra = []
         for rows, cols, (column, row) in self._tiles():
-            # the strided view scipy.linalg.toeplitz copies out, read directly
-            values = np.concatenate((column[::-1], row[1:]))
-            A[rows, cols] = sliding_window_view(values, len(row))[::-1]
-        np.negative(A, out=A)
-        A.reshape(-1)[::n + 1] += self.diag
-        A *= self.scale
-        return A
+            m, k = len(column), len(row)
+            length = 1 << (m + k - 2).bit_length()
+            embedding = np.zeros(length)
+            embedding[:m] = column
+            embedding[length - k + 1:] = row[:0:-1]
+            spectra.append((rows, cols, length, np.fft.rfft(embedding)))
+        return spectra
+
+    def block(self, i0: int, i1: int, j0: int, j1: int,
+              out: np.ndarray) -> np.ndarray:
+        """Rows i0:i1 and columns j0:j1 of the matrix, written into out:
+        copied from the blocks' strided views, negated, the diagonal added
+        and scaled in place, so every entry is bitwise the same whichever
+        submatrix it is formed in."""
+        for rows, cols, window in self._windows:
+            r0, r1 = max(rows.start, i0), min(rows.stop, i1)
+            c0, c1 = max(cols.start, j0), min(cols.stop, j1)
+            if r0 < r1 and c0 < c1:
+                out[r0 - i0:r1 - i0, c0 - j0:c1 - j0] = window[
+                    r0 - rows.start:r1 - rows.start,
+                    c0 - cols.start:c1 - cols.start]
+        np.negative(out, out=out)
+        k = np.arange(max(i0, j0), min(i1, j1))
+        out[k - i0, k - j0] += self.diag[k]
+        out *= self.scale
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The whole matrix: no n-by-n temporary besides the result."""
+        n = len(self.diag)
+        return self.block(0, n, 0, n, np.empty((n, n)))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a vector x, in O(n log n) through FFT Toeplitz products."""
+        """A @ x for a vector x, in O(n log n): one rfft/irfft pair per block
+        against its cached spectrum."""
         y = self.diag * x
-        for rows, cols, generators in self._tiles():
-            y[rows] -= linalg.matmul_toeplitz(generators, x[cols])
+        for rows, cols, length, spectrum in self._spectra:
+            product = np.fft.irfft(spectrum * np.fft.rfft(x[cols], length),
+                                   length)
+            y[rows] -= product[:rows.stop - rows.start]
         y *= self.scale
         return y
 
@@ -86,19 +126,39 @@ class ToeplitzStructure:
 
 @dataclass(frozen=True)
 class CollocationSystem:
-    """Assembled collocation system A u = rhs.
+    """Collocation system A u = rhs.
 
-    matrix carries the sigma/eta scaling already applied; `nodes` lists the
-    collocation point of each row, in row order, so solutions can be
-    compared against exact values directly.  `structure`, when set, is the
-    Toeplitz description that `matrix` was built from.
+    `operator` describes A, with the sigma/eta scaling already applied: a
+    ToeplitzStructure for assembled systems, or a plain matrix.  `matrix`
+    is the dense A, formed from the structure on first read and kept;
+    `nodes` lists the collocation point of each row, in row order, so
+    solutions can be compared against exact values directly.
     """
 
-    matrix: np.ndarray
+    operator: Union[np.ndarray, ToeplitzStructure]
     rhs: np.ndarray
     scheme: str              # 'plc' or 'pqc'
     nodes: np.ndarray
-    structure: Optional[ToeplitzStructure] = None
+
+    @property
+    def structure(self) -> Optional[ToeplitzStructure]:
+        """The Toeplitz description, or None for a plain-matrix system."""
+        op = self.operator
+        return op if isinstance(op, ToeplitzStructure) else None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        structure = self.structure
+        return self.operator if structure is None else structure.dense()
+
+    def block(self, i0: int, i1: int, j0: int, j1: int,
+              out: np.ndarray) -> np.ndarray:
+        """Rows i0:i1, columns j0:j1 of A: a view of a plain matrix, or
+        generated from the structure into out."""
+        structure = self.structure
+        if structure is None:
+            return self.operator[i0:i1, j0:j1]
+        return structure.block(i0, i1, j0, j1, out)
 
 
 @dataclass(frozen=True)
@@ -182,22 +242,25 @@ def check_structure(system: CollocationSystem) -> StructureReport:
     matrix in row blocks, then one over symmetric pairs of tiles that stops
     at the first pair breaking symmetry.
 
-    For PLC, spdFactorizationOk comes from Gershgorin when the matrix is
+    Every block is read through system.block into reused buffers, so a
+    structured system is checked without forming its n-by-n matrix.  For
+    PLC, spdFactorizationOk comes from Gershgorin when the matrix is
     symmetric with a positive diagonal and every row dominant by more than
     n times the symmetry tolerance, so that the triangle Cholesky would read
     is dominant too; otherwise it comes from a Cholesky factorization.
     """
-    A = system.matrix
-    n = len(A)
-    diag = np.diag(A)
-    row_sums, slack = np.empty(n), np.empty(n)
+    n = len(system.rhs)
+    diag, row_sums, slack = np.empty(n), np.empty(n), np.empty(n)
     # reused buffers: a row block stays in cache across the passes over it
+    row_block = np.empty((_ROWS, n))
     absolute = np.empty((_ROWS, n))
     negative = np.empty((_ROWS, n), dtype=bool)
     off_negative, max_abs = True, 0.0
     for i0 in range(0, n, _ROWS):
         i1 = min(i0 + _ROWS, n)
-        rows, k = A[i0:i1], np.arange(i1 - i0)
+        rows = system.block(i0, i1, 0, n, row_block[:i1 - i0])
+        k = np.arange(i1 - i0)
+        diag[i0:i1] = rows[k, i0 + k]
         row_sums[i0:i1] = np.sum(rows, axis=1)
         a = np.abs(rows, out=absolute[:i1 - i0])
         max_abs = np.maximum(max_abs, np.max(a))    # NaN propagates
@@ -209,13 +272,14 @@ def check_structure(system: CollocationSystem) -> StructureReport:
 
     atol = 1e-14 * max_abs
     max_asymmetry = 0.0
-    difference = np.empty((_TILE, _TILE))
+    upper, lower = np.empty((_TILE, _TILE)), np.empty((_TILE, _TILE))
     for i0 in range(0, n, _TILE):
         i1 = min(i0 + _TILE, n)
         for j0 in range(i0, n, _TILE):
             j1 = min(j0 + _TILE, n)
-            d = np.subtract(A[i0:i1, j0:j1], A[j0:j1, i0:i1].T,
-                            out=difference[:i1 - i0, :j1 - j0])
+            ij = system.block(i0, i1, j0, j1, upper[:i1 - i0, :j1 - j0])
+            ji = system.block(j0, j1, i0, i1, lower[:j1 - j0, :i1 - i0])
+            d = np.subtract(ij, ji.T, out=upper[:i1 - i0, :j1 - j0])
             max_asymmetry = np.maximum(max_asymmetry, np.max(np.abs(d, out=d)))
         if not max_asymmetry <= atol:
             break
@@ -228,7 +292,7 @@ def check_structure(system: CollocationSystem) -> StructureReport:
             spd_ok = True
         else:
             try:
-                linalg.cholesky(A)
+                linalg.cholesky(system.matrix)
                 spd_ok = True
             except linalg.LinAlgError:
                 spd_ok = False

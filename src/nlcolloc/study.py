@@ -21,7 +21,7 @@ from .oracle import TestFunction, exact_nonlocal_rhs, exponential
 FLOOR = 1e-12
 
 # The one place a scheme name is mapped to its definition: the module that
-# provides make_rule, truncation, assemble, operator and nodes.
+# provides make_rule, truncation, assemble, structure and nodes.
 SCHEMES = {"plc": plc, "pqc": pqc}
 
 # Eval points: "center" re-resolves to the midpoint junction (a+b)/2,

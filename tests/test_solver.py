@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from nlcolloc.study import SCHEMES
 
 
 def wrap(A, b):
-    return CollocationSystem(matrix=A, rhs=b, scheme="plc",
+    return CollocationSystem(operator=A, rhs=b, scheme="plc",
                              nodes=np.arange(len(b), dtype=float))
 
 
@@ -103,10 +104,11 @@ class TestToeplitzStructure:
         structure, c = _structure(scheme, gamma, N)
         got, want = structure.dense(), OLD_OPERATORS[scheme](c)
         assert got.tobytes() == want.tobytes()
-        assert SCHEMES[scheme].operator(c).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    @pytest.mark.parametrize("N", [2, 3, 8, 64, 700])
+    # N = 513: the PQC blocks' m + k - 1 is 1023, 1024 and 1025, so their
+    # circulant embeddings fill 1024 exactly or are padded to 2048
+    @pytest.mark.parametrize("N", [2, 3, 8, 64, 513, 700])
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
     def test_matvec_matches_dense(self, scheme, N, gamma):
         structure, _ = _structure(scheme, gamma, N)
@@ -142,7 +144,8 @@ class TestSolveAboveCutoff:
         # the Krylov path produced it
         assert np.array_equal(x, solver.solve_krylov(system.structure, b))
         exact = exponential()(system.nodes)
-        lu = solver.solve_dense(dataclasses.replace(system, structure=None))
+        lu = solver.solve_dense(dataclasses.replace(system,
+                                                    operator=system.matrix))
         assert (np.max(np.abs(x - exact))
                 <= 1.05 * np.max(np.abs(lu - exact)))
         residual = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
@@ -157,33 +160,46 @@ class TestSolveAboveCutoff:
         structure = ToeplitzStructure(scale=1.0, diag=np.full(n, 3.0),
                                       blocks=(((column, row),),))
         b = rng.standard_normal(n)
-        system = CollocationSystem(matrix=structure.dense(), rhs=b,
-                                   scheme="plc", nodes=np.zeros(n),
-                                   structure=structure)
+        system = CollocationSystem(operator=structure, rhs=b, scheme="plc",
+                                   nodes=np.zeros(n))
         assert solver.solve_krylov(structure, b) is None
         x = solver.solve_dense(system)
-        lu = solver.solve_dense(dataclasses.replace(system, structure=None))
+        lu = solver.solve_dense(dataclasses.replace(system,
+                                                    operator=system.matrix))
         assert np.array_equal(x, lu)
         assert np.linalg.norm(b - system.matrix @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+def _loaded_around_solve(module, N):
+    """Whether `module` is loaded after `import nlcolloc` and after a PLC
+    solve at N, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
+    code = (
+        "import sys, nlcolloc\n"
+        f"print({module!r} in sys.modules)\n"
+        "from nlcolloc import oracle, plc, solver\n"
+        "from nlcolloc.grid import KernelParams, UniformGrid\n"
+        f"params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, {N})\n"
+        "prob = oracle.exact_nonlocal_rhs(oracle.constant(1.0), grid, params, nodes='plc')\n"
+        "solver.solve_dense(plc.assemble_plc_system(params, grid, prob))\n"
+        f"print({module!r} in sys.modules)\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.split()
 
 
 def test_small_solves_leave_scipy_sparse_linalg_unloaded():
     # scipy.sparse.linalg serves only the Krylov path above the cutoff; it
     # would add to every cold CLI call.  N = 1025 gives 1024 unknowns, the
     # largest system that stays on LU.
-    env = dict(os.environ, PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
-    code = (
-        "import sys, nlcolloc\n"
-        "print('scipy.sparse.linalg' in sys.modules)\n"
-        "from nlcolloc import oracle, plc, solver\n"
-        "from nlcolloc.grid import KernelParams, UniformGrid\n"
-        "params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, 1025)\n"
-        "prob = oracle.exact_nonlocal_rhs(oracle.constant(1.0), grid, params, nodes='plc')\n"
-        "solver.solve_dense(plc.assemble_plc_system(params, grid, prob))\n"
-        "print('scipy.sparse.linalg' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["False", "False"]
+    assert _loaded_around_solve("scipy.sparse.linalg", 1025) == ["False"] * 3
+
+
+def test_krylov_solve_leaves_scipy_fft_unloaded():
+    # the matvec's FFTs are numpy's; scipy.fft would cost a first-use import
+    # inside the solve.  N = 1026 gives 1025 unknowns, on the Krylov path.
+    assert _loaded_around_solve("scipy.fft", 1026) == ["False", "False", "True"]
 
 
 class TestMinEigenvalue:
@@ -244,9 +260,13 @@ def _old_check_structure(system):
     )
 
 
+# n = 1, 299 and 599 unknowns: not multiples of the row block or the tile
+STRUCTURE_SIZES = (("plc", 2), ("plc", 300), ("plc", 600),
+                   ("pqc", 2), ("pqc", 150), ("pqc", 300))
+
+
 def _structure_cases():
-    for scheme, N in (("plc", 2), ("plc", 300), ("plc", 600),
-                      ("pqc", 2), ("pqc", 150), ("pqc", 300)):
+    for scheme, N in STRUCTURE_SIZES:
         for gamma in (0.0, 0.7):
             yield f"{scheme}-N{N}-g{gamma}", scheme, _structure(scheme, gamma, N)[0].dense()
     rng = np.random.default_rng(11)
@@ -265,7 +285,7 @@ def _structure_cases():
 @pytest.mark.parametrize("name, scheme, A", list(_structure_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_check_structure_matches_old_formulas(name, scheme, A):
-    system = CollocationSystem(matrix=A, rhs=np.zeros(len(A)), scheme=scheme,
+    system = CollocationSystem(operator=A, rhs=np.zeros(len(A)), scheme=scheme,
                                nodes=np.zeros(len(A)))
     got, want = solver.check_structure(system), _old_check_structure(system)
     assert np.array_equal(got.rowSums, want.rowSums)
@@ -273,6 +293,55 @@ def test_check_structure_matches_old_formulas(name, scheme, A):
     assert (got.diagPositive, got.offDiagNegative, got.symmetric,
             got.spdFactorizationOk) == (want.diagPositive, want.offDiagNegative,
                                         want.symmetric, want.spdFactorizationOk)
+
+
+@pytest.mark.parametrize("scheme, N", STRUCTURE_SIZES)
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
+def test_check_structure_generated_equals_dense(scheme, N, gamma):
+    structure, _ = _structure(scheme, gamma, N)
+    n = len(structure.diag)
+    got, want = (solver.check_structure(CollocationSystem(
+        operator=op, rhs=np.zeros(n), scheme=scheme, nodes=np.zeros(n)))
+        for op in (structure, structure.dense()))
+    assert np.array_equal(got.rowSums, want.rowSums)
+    assert got.minRowSlack == want.minRowSlack
+    assert (got.diagPositive, got.offDiagNegative, got.symmetric,
+            got.spdFactorizationOk) == (want.diagPositive, want.offDiagNegative,
+                                        want.symmetric, want.spdFactorizationOk)
+
+
+class TestLazyMatrix:
+    def test_structured_matrix_formed_once(self):
+        structure, _ = _structure("pqc", 0.7, 64)
+        n = len(structure.diag)
+        system = CollocationSystem(operator=structure, rhs=np.zeros(n),
+                                   scheme="pqc", nodes=np.zeros(n))
+        assert "matrix" not in vars(system)
+        first = system.matrix
+        assert system.matrix is first
+        assert first.tobytes() == structure.dense().tobytes()
+
+    def test_plain_matrix_is_the_given_one(self):
+        A = np.eye(3)
+        system = wrap(A, np.zeros(3))
+        assert system.matrix is A
+        assert system.structure is None
+
+    def test_assemble_to_check_stays_small(self):
+        # PQC N = 2048: the dense matrix alone would be 134 MB
+        import scipy.sparse.linalg  # noqa: F401  (its import is not the solve)
+        params, grid = KernelParams(0.7), UniformGrid(0.0, 1.0, 2048)
+        prob = exact_nonlocal_rhs(exponential(), grid, params, nodes="pqc")
+        tracemalloc.start()
+        try:
+            system = pqc.assemble_pqc_system(params, grid, prob)
+            solver.solve_dense(system)
+            solver.check_structure(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "matrix" not in vars(system)
+        assert peak <= 16 * 2**20
 
 
 class TestSpdFlag:
