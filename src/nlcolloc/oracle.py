@@ -89,6 +89,7 @@ def _pow(base, e: float):
 
 def _jacobi_poly_and_deriv(n: int, alpha: float, beta: float, x: np.ndarray):
     """P_n^(alpha,beta)(x) and its derivative via the three-term recurrence."""
+    alpha, beta = np.longdouble(alpha), np.longdouble(beta)   # so a1..a4 are too
     p_prev = np.ones_like(x)
     p = 0.5 * (alpha + beta + 2.0) * x + 0.5 * (alpha - beta)
     if n == 0:

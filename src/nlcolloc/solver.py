@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,10 +23,6 @@ KRYLOV_ACCEPT = 1e-12        # largest true relative residual accepted
 KRYLOV_RESTART = 50          # inner iterations per GMRES cycle
 KRYLOV_CYCLES = 4            # GMRES cycles before giving up
 
-# check_structure's row block height and symmetry tile edge
-_ROWS = 32
-_TILE = 256
-
 
 class SingularSystemError(RuntimeError):
     """A pivot underflowed; the assembled system is effectively singular."""
@@ -39,8 +35,9 @@ class ToeplitzStructure:
     blocks[p][q] is the (first column, first row) pair that generates block
     (p, q), as scipy.linalg.toeplitz takes them: the first columns of block
     row p have that block row's height, the first rows of block column q
-    that block column's width.  Submatrices, the dense matrix and the FFT
-    matvec are all built from this one description.
+    that block column's width; the first row's own first entry is never
+    read.  The dense matrix, the FFT matvec and check_structure are all
+    built from this one description.
     """
 
     scale: float
@@ -58,14 +55,6 @@ class ToeplitzStructure:
             r0 += height
 
     @cached_property
-    def _windows(self):
-        """(row slice, column slice, block) of every block, each block the
-        strided view that scipy.linalg.toeplitz would copy out."""
-        return [(rows, cols, sliding_window_view(
-                    np.concatenate((column[::-1], row[1:])), len(row))[::-1])
-                for rows, cols, (column, row) in self._tiles()]
-
-    @cached_property
     def _spectra(self):
         """(row slice, column slice, FFT length, spectrum) of every block:
         the rfft of its circulant embedding, of a power-of-two length L of at
@@ -81,29 +70,19 @@ class ToeplitzStructure:
             spectra.append((rows, cols, length, np.fft.rfft(embedding)))
         return spectra
 
-    def block(self, i0: int, i1: int, j0: int, j1: int,
-              out: np.ndarray) -> np.ndarray:
-        """Rows i0:i1 and columns j0:j1 of the matrix, written into out:
-        copied from the blocks' strided views, negated, the diagonal added
-        and scaled in place, so every entry is bitwise the same whichever
-        submatrix it is formed in."""
-        for rows, cols, window in self._windows:
-            r0, r1 = max(rows.start, i0), min(rows.stop, i1)
-            c0, c1 = max(cols.start, j0), min(cols.stop, j1)
-            if r0 < r1 and c0 < c1:
-                out[r0 - i0:r1 - i0, c0 - j0:c1 - j0] = window[
-                    r0 - rows.start:r1 - rows.start,
-                    c0 - cols.start:c1 - cols.start]
+    def dense(self) -> np.ndarray:
+        """The whole matrix, with no n-by-n temporary besides the result:
+        each block copied from the strided view that scipy.linalg.toeplitz
+        would copy, then negated, the diagonal added and scaled in place."""
+        n = len(self.diag)
+        out = np.empty((n, n))
+        for rows, cols, (column, row) in self._tiles():
+            out[rows, cols] = sliding_window_view(
+                np.concatenate((column[::-1], row[1:])), len(row))[::-1]
         np.negative(out, out=out)
-        k = np.arange(max(i0, j0), min(i1, j1))
-        out[k - i0, k - j0] += self.diag[k]
+        out[np.diag_indices(n)] += self.diag
         out *= self.scale
         return out
-
-    def dense(self) -> np.ndarray:
-        """The whole matrix: no n-by-n temporary besides the result."""
-        n = len(self.diag)
-        return self.block(0, n, 0, n, np.empty((n, n)))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for a vector x, in O(n log n): one rfft/irfft pair per block
@@ -128,41 +107,28 @@ class ToeplitzStructure:
 class CollocationSystem:
     """Collocation system A u = rhs.
 
-    `operator` describes A, with the sigma/eta scaling already applied: a
-    ToeplitzStructure for assembled systems, or a plain matrix.  `matrix`
-    is the dense A, formed from the structure on first read and kept;
+    `operator` describes A, with the sigma/eta scaling already applied.
+    `matrix` is the dense A, formed from it on first read and kept;
     `nodes` lists the collocation point of each row, in row order, so
     solutions can be compared against exact values directly.
     """
 
-    operator: Union[np.ndarray, ToeplitzStructure]
+    operator: ToeplitzStructure
     rhs: np.ndarray
     scheme: str              # 'plc' or 'pqc'
     nodes: np.ndarray
 
-    @property
-    def structure(self) -> Optional[ToeplitzStructure]:
-        """The Toeplitz description, or None for a plain-matrix system."""
-        op = self.operator
-        return op if isinstance(op, ToeplitzStructure) else None
-
     @cached_property
     def matrix(self) -> np.ndarray:
-        structure = self.structure
-        return self.operator if structure is None else structure.dense()
-
-    def block(self, i0: int, i1: int, j0: int, j1: int,
-              out: np.ndarray) -> np.ndarray:
-        """Rows i0:i1, columns j0:j1 of A: a view of a plain matrix, or
-        generated from the structure into out."""
-        structure = self.structure
-        if structure is None:
-            return self.operator[i0:i1, j0:j1]
-        return structure.block(i0, i1, j0, j1, out)
+        return self.operator.dense()
 
 
 @dataclass(frozen=True)
 class StructureReport:
+    """Sign pattern, row sums, row slack and symmetry of A.  rowSums and
+    minRowSlack are correctly rounded from the operator's description:
+    scale times the exactly rounded sum over row i of d_i - T."""
+
     diagPositive: bool
     offDiagNegative: bool
     rowSums: np.ndarray          # signed row sums of the scaled matrix
@@ -174,13 +140,12 @@ class StructureReport:
 def solve_dense(system: CollocationSystem) -> np.ndarray:
     """Solve the system for u.
 
-    At most KRYLOV_MIN_UNKNOWNS unknowns, or no Toeplitz structure: LU with
-    partial pivoting plus one step of iterative refinement on the dense
-    matrix.  Above that, with a structure: solve_krylov, falling back to
-    the LU path when its residual check fails.
+    At most KRYLOV_MIN_UNKNOWNS unknowns: LU with partial pivoting plus
+    one step of iterative refinement on the dense matrix.  Above that:
+    solve_krylov, falling back to the LU path when its residual check fails.
     """
-    if system.structure is not None and len(system.rhs) > KRYLOV_MIN_UNKNOWNS:
-        x = solve_krylov(system.structure, system.rhs)
+    if len(system.rhs) > KRYLOV_MIN_UNKNOWNS:
+        x = solve_krylov(system.operator, system.rhs)
         if x is not None:
             return x
     return _solve_lu(system.matrix, system.rhs)
@@ -237,55 +202,88 @@ def min_eigenvalue(A: np.ndarray, tol: float = 1e-12, maxiter: int = 200) -> flo
     return lam
 
 
+def _dd_add(x, y):
+    """x + y for double-double pairs (hi, lo) of arrays: Knuth's TwoSum of
+    the high parts, plus both low parts, renormalised."""
+    s = x[0] + y[0]
+    t = s - x[0]
+    e = (x[0] - (s - t)) + (y[0] - t) + (x[1] + y[1])
+    hi = s + e
+    return hi, e - (hi - s)
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """0, x_0, x_0 + x_1, ..., sum(x) as a 2-row double-double array, from a
+    work-efficient (Brent-Kung) scan: O(len(x)) time in 2 log2 len(x)
+    vectorised steps."""
+    n = len(x) + 1
+    size = 1 << (n - 1).bit_length()
+    dd = np.zeros((2, size))
+    dd[0, 1:n] = x
+    step = 1
+    while step < size:      # the last entry of each group of 2 step: its sum
+        right = dd[:, 2 * step - 1::2 * step]
+        right[:] = _dd_add(right, dd[:, step - 1::2 * step])
+        step *= 2
+    while step > 1:         # then each group's middle: the prefix before it
+        step //= 2
+        right = dd[:, 3 * step - 1::2 * step]
+        right[:] = _dd_add(right, dd[:, 2 * step - 1:size - step:2 * step])
+    return dd[:, :n]
+
+
+def _block_row_sums(column: np.ndarray, row: np.ndarray):
+    """Row sums of the Toeplitz block (column, row) as a double-double pair:
+    row i of a block k wide holds column[max(0, i-k+1)..i], row[1..k-1-i]."""
+    i, k = np.arange(len(column)), len(row)
+    C, R = _prefix_sums(column), _prefix_sums(row[1:])
+    window = _dd_add(C[:, i + 1], -C[:, np.maximum(i + 1 - k, 0)])
+    return _dd_add(window, R[:, np.maximum(k - 1 - i, 0)])
+
+
 def check_structure(system: CollocationSystem) -> StructureReport:
-    """Sign pattern, row sums, row slack and symmetry from one pass over the
-    matrix in row blocks, then one over symmetric pairs of tiles that stops
-    at the first pair breaking symmetry.
+    """Sign pattern, row sums, row slack and symmetry from the generators,
+    in O(n) time and memory.
 
-    Every block is read through system.block into reused buffers, so a
-    structured system is checked without forming its n-by-n matrix.  For
-    PLC, spdFactorizationOk comes from Gershgorin when the matrix is
-    symmetric with a positive diagonal and every row dominant by more than
-    n times the symmetry tolerance, so that the triangle Cholesky would read
-    is dominant too; otherwise it comes from a Cholesky factorization.
+    The off-diagonal entries of A are scale * -t for the generator entries t
+    off the diagonal.  Block (p, q) mirrors block (q, p) when its first
+    column equals the first row of (q, p); each diagonal block mirrors
+    itself.  Row sums and slack are windows of compensated prefix sums.
+    For PLC, spdFactorizationOk comes from Gershgorin when A is symmetric
+    with a positive diagonal and every row dominant by more than n times the
+    symmetry tolerance (so the triangle Cholesky reads is too), otherwise
+    from a Cholesky factorization of system.matrix.
     """
-    n = len(system.rhs)
-    diag, row_sums, slack = np.empty(n), np.empty(n), np.empty(n)
-    # reused buffers: a row block stays in cache across the passes over it
-    row_block = np.empty((_ROWS, n))
-    absolute = np.empty((_ROWS, n))
-    negative = np.empty((_ROWS, n), dtype=bool)
-    off_negative, max_abs = True, 0.0
-    for i0 in range(0, n, _ROWS):
-        i1 = min(i0 + _ROWS, n)
-        rows = system.block(i0, i1, 0, n, row_block[:i1 - i0])
-        k = np.arange(i1 - i0)
-        diag[i0:i1] = rows[k, i0 + k]
-        row_sums[i0:i1] = np.sum(rows, axis=1)
-        a = np.abs(rows, out=absolute[:i1 - i0])
-        max_abs = np.maximum(max_abs, np.max(a))    # NaN propagates
-        a[k, i0 + k] = 0.0
-        slack[i0:i1] = diag[i0:i1] - np.sum(a, axis=1)
-        neg = np.less(rows, 0.0, out=negative[:i1 - i0])
-        neg[k, i0 + k] = True
-        off_negative = off_negative and bool(np.all(neg))
+    op = system.operator
+    n, scale = len(op.diag), op.scale
+    sign = np.copysign(1.0, scale)
+    diagonal = op.diagonal()
+    row_sums, slack, entries, gaps = [], [], [], []
+    r0 = 0
+    for p, block_row in enumerate(op.blocks):
+        d = op.diag[r0:r0 + len(block_row[0][0])]
+        total = margin = (d, np.zeros(len(d)))
+        for q, (column, row) in enumerate(block_row):
+            total = _dd_add(total, _block_row_sums(-column, -row))
+            # the slack takes -t_ii on the diagonal, -sign * |t_ij| off it
+            absolute = np.abs(column)
+            if p == q:
+                absolute[0] = sign * column[0]
+            margin = _dd_add(margin, _block_row_sums(-sign * absolute,
+                                                     -sign * np.abs(row)))
+            entries.append(scale * np.concatenate((column[p == q:], row[1:])))
+            partner_column, partner_row = op.blocks[q][p]
+            partner = np.concatenate((partner_column[:1], partner_row[1:]))
+            gaps.append(np.abs(scale * column - scale * partner))
+        row_sums.append(scale * (total[0] + total[1]))
+        slack.append(scale * (margin[0] + margin[1]))
+        r0 += len(d)
 
-    atol = 1e-14 * max_abs
-    max_asymmetry = 0.0
-    upper, lower = np.empty((_TILE, _TILE)), np.empty((_TILE, _TILE))
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
-        for j0 in range(i0, n, _TILE):
-            j1 = min(j0 + _TILE, n)
-            ij = system.block(i0, i1, j0, j1, upper[:i1 - i0, :j1 - j0])
-            ji = system.block(j0, j1, i0, i1, lower[:j1 - j0, :i1 - i0])
-            d = np.subtract(ij, ji.T, out=upper[:i1 - i0, :j1 - j0])
-            max_asymmetry = np.maximum(max_asymmetry, np.max(np.abs(d, out=d)))
-        if not max_asymmetry <= atol:
-            break
-    symmetric = bool(max_asymmetry <= atol)
-    diag_positive = bool(np.all(diag > 0.0))
-    min_slack = float(np.min(slack))
+    entries = np.concatenate(entries)               # scale * t = -a_ij
+    atol = 1e-14 * np.max(np.abs(np.concatenate((diagonal, entries))))
+    symmetric = bool(np.max(np.concatenate(gaps)) <= atol)
+    diag_positive = bool(np.all(diagonal > 0.0))
+    min_slack = float(np.min(np.concatenate(slack)))
     spd_ok = None
     if system.scheme == "plc":
         if symmetric and diag_positive and min_slack > n * atol:
@@ -299,8 +297,8 @@ def check_structure(system: CollocationSystem) -> StructureReport:
 
     return StructureReport(
         diagPositive=diag_positive,
-        offDiagNegative=off_negative,
-        rowSums=row_sums,
+        offDiagNegative=bool(np.all(entries > 0.0)),
+        rowSums=np.concatenate(row_sums),
         minRowSlack=min_slack,
         symmetric=symmetric,
         spdFactorizationOk=spd_ok,

@@ -107,6 +107,16 @@ class TestCheck:
         assert "symmetric = false" in out
         assert "spdFactorizationOk = n/a" in out
 
+    def test_row_sums_correctly_rounded(self, capsys):
+        # the exact minimum row sum is 6.41211601374909e-03; summing the
+        # dense matrix in floating point gave 6.41211601375069e-03, printed
+        # as 6.4121160138e-03
+        status, out, _ = run_cli(capsys, "check", "--scheme", "pqc",
+                                 "--gamma", "0.7", "--levels", "128",
+                                 "--interval=-1,3")
+        assert status == 0
+        assert "rowSums = min 6.4121160137e-03, " in out
+
 
 class TestStudies:
     def test_truncation_center_fourth_order(self, capsys):
@@ -132,6 +142,14 @@ class TestStudies:
         status, separate, _ = run_cli(capsys, *args, "--interval", "-1,3")
         assert status == 0
         assert separate == joined
+
+    def test_converge_near_gamma_one_on_wide_interval(self, capsys):
+        # needs Gauss-Jacobi weights accurate near gamma = 1: with them off
+        # by 1e-10, successive doubling levels never agreed to 1e-13
+        status, _, err = run_cli(capsys, "converge", "--scheme", "plc",
+                                 "--gamma", "0.95", "--levels", "64",
+                                 "--interval=-1,3")
+        assert status == 0, err
 
     @pytest.mark.xfail(strict=True, reason=(
         "the oracle's left exponential series cancels on long intervals: on "

@@ -259,6 +259,17 @@ class TestBatchedFailures:
                                np.array([0.25, 0.5]), tol=1e-15)
 
 
+@pytest.mark.parametrize("gamma, rtol", [(0.7, 1e-12), (0.95, 1e-12),
+                                         (0.99, 2e-11)])
+@pytest.mark.parametrize("n", [64, 512, 2048, 4096])
+def test_gauss_jacobi_weights_sum_to_weight_integral(gamma, rtol, n):
+    # int_0^1 s^(-gamma) ds = 1 / (1 - gamma).  With the recurrence
+    # coefficients rounded to float64 the sum was off by up to 2e-10 for
+    # gamma near 1, enough to stall the oracle's doubling.
+    _, w = oracle._gj_rule(n, gamma)
+    assert abs(np.sum(w) * (1 - gamma) - 1) <= rtol
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:

@@ -1,7 +1,7 @@
 """Solves, the Toeplitz operator description, eigenvalue estimation, and
 structure reporting."""
 
-import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -20,15 +20,26 @@ from nlcolloc.solver import CollocationSystem, ToeplitzStructure
 from nlcolloc.study import SCHEMES
 
 
-def wrap(A, b):
-    return CollocationSystem(operator=A, rhs=b, scheme="plc",
-                             nodes=np.arange(len(b), dtype=float))
+def toeplitz(diag, column, row=None, scale=1.0):
+    """scale * (diag(diag) - T), T the Toeplitz matrix of (column, row)."""
+    row = column if row is None else row
+    blocks = (((np.asarray(column, float), np.asarray(row, float)),),)
+    return ToeplitzStructure(scale=scale, diag=np.asarray(diag, float),
+                             blocks=blocks)
+
+
+def system_of(structure, scheme="plc", b=None):
+    n = len(structure.diag)
+    return CollocationSystem(operator=structure,
+                             rhs=np.zeros(n) if b is None else b,
+                             scheme=scheme, nodes=np.arange(n, dtype=float))
 
 
 class TestSolveDense:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(solver.solve_dense(wrap(np.eye(3), b)), b)
+        identity = toeplitz(np.ones(3), np.zeros(3))
+        assert np.array_equal(solver.solve_dense(system_of(identity, b=b)), b)
 
     def test_plc_scalar_case(self):
         params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, 2)
@@ -40,18 +51,20 @@ class TestSolveDense:
 
     def test_random_dominant_residual(self):
         rng = np.random.default_rng(7)
-        A = rng.standard_normal((50, 50))
-        A += np.diag(np.sum(np.abs(A), axis=1))
+        column, row = rng.standard_normal(50), rng.standard_normal(50)
+        diag = rng.standard_normal(50) + np.sum(np.abs(column) + np.abs(row))
+        structure = toeplitz(diag, column, row)
         b = rng.standard_normal(50)
-        x = solver.solve_dense(wrap(A, b))
+        x = solver.solve_dense(system_of(structure, b=b))
+        A = structure.dense()
         res = np.max(np.abs(A @ x - b))
         assert res <= 1e-10 * np.max(np.abs(A)) * max(1.0, np.max(np.abs(x)))
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_rejected(self):
-        A = np.zeros((3, 3))
+        zero = toeplitz(np.zeros(3), np.zeros(3))
         with pytest.raises(solver.SingularSystemError):
-            solver.solve_dense(wrap(A, np.ones(3)))
+            solver.solve_dense(system_of(zero, b=np.ones(3)))
 
     def test_agrees_with_cholesky_on_spd(self):
         params, grid = KernelParams(0.6), UniformGrid(0.0, 1.0, 32)
@@ -127,7 +140,7 @@ class TestToeplitzStructure:
     def test_krylov_agrees_with_lu_below_cutoff(self, scheme, N, gamma):
         system = _manufactured(scheme, gamma, N)
         assert len(system.rhs) <= solver.KRYLOV_MIN_UNKNOWNS
-        krylov = solver.solve_krylov(system.structure, system.rhs)
+        krylov = solver.solve_krylov(system.operator, system.rhs)
         assert krylov is not None
         lu = solver.solve_dense(system)
         assert np.max(np.abs(krylov - lu)) <= 1e-10
@@ -142,10 +155,9 @@ class TestSolveAboveCutoff:
         assert len(b) > solver.KRYLOV_MIN_UNKNOWNS
         x = solver.solve_dense(system)
         # the Krylov path produced it
-        assert np.array_equal(x, solver.solve_krylov(system.structure, b))
+        assert np.array_equal(x, solver.solve_krylov(system.operator, b))
         exact = exponential()(system.nodes)
-        lu = solver.solve_dense(dataclasses.replace(system,
-                                                    operator=system.matrix))
+        lu = solver._solve_lu(system.matrix, b)
         assert (np.max(np.abs(x - exact))
                 <= 1.05 * np.max(np.abs(lu - exact)))
         residual = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
@@ -164,9 +176,7 @@ class TestSolveAboveCutoff:
                                    nodes=np.zeros(n))
         assert solver.solve_krylov(structure, b) is None
         x = solver.solve_dense(system)
-        lu = solver.solve_dense(dataclasses.replace(system,
-                                                    operator=system.matrix))
-        assert np.array_equal(x, lu)
+        assert np.array_equal(x, solver._solve_lu(system.matrix, b))
         assert np.linalg.norm(b - system.matrix @ x) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -215,34 +225,35 @@ class TestMinEigenvalue:
 
 class TestCheckStructure:
     def test_positive_diagonal_detection(self):
-        A = np.array([[2.0, -0.5], [-0.5, 2.0]])
-        report = solver.check_structure(wrap(A, np.zeros(2)))
+        # [[2, -0.5], [-0.5, 2]]
+        report = solver.check_structure(system_of(toeplitz([2, 2], [0, 0.5])))
         assert report.diagPositive
         assert report.offDiagNegative
         assert report.minRowSlack == pytest.approx(1.5)
         assert report.symmetric
 
     def test_violations_reported(self):
-        A = np.array([[2.0, 0.5], [-3.0, -1.0]])
-        report = solver.check_structure(wrap(A, np.zeros(2)))
+        # [[2, 0.5], [-3, -1]]
+        A = toeplitz([2, -1], [0, 3], [0, -0.5])
+        report = solver.check_structure(system_of(A))
         assert not report.diagPositive
         assert not report.offDiagNegative
         assert report.minRowSlack < 0.0
 
     def test_spd_flag_only_meaningful_for_plc(self):
-        A = np.array([[2.0, -0.5], [-0.5, 2.0]])
-        system = wrap(A, np.zeros(2))
-        assert solver.check_structure(system).spdFactorizationOk is True
+        A = toeplitz([2, 2], [0, 0.5])
+        assert solver.check_structure(system_of(A)).spdFactorizationOk is True
+        assert solver.check_structure(
+            system_of(A, "pqc")).spdFactorizationOk is None
 
 
-def _old_check_structure(system):
+def _old_check_structure(A, scheme):
     """check_structure as it was: whole-matrix formulas and Cholesky."""
-    A = system.matrix
     diag = np.diag(A)
     off = A - np.diag(diag)
     slack = diag - np.sum(np.abs(off), axis=1)
     spd_ok = None
-    if system.scheme == "plc":
+    if scheme == "plc":
         try:
             linalg.cholesky(A)
             spd_ok = True
@@ -260,54 +271,126 @@ def _old_check_structure(system):
     )
 
 
-# n = 1, 299 and 599 unknowns: not multiples of the row block or the tile
+def _fsum_reference(structure):
+    """Row sums and minimum row slack summed exactly from the description:
+    scale * fsum(d_i - T_i.) and scale * fsum(d_i - t_ii - sign * |T_i.|
+    off the diagonal), each rounded once before the scaling."""
+    s = structure.scale
+    T = np.block([[linalg.toeplitz(column, row) for column, row in block_row]
+                  for block_row in structure.blocks])
+    sums, slack = [], []
+    for i, (d, t) in enumerate(zip(structure.diag, T)):
+        off = -math.copysign(1.0, s) * np.abs(np.delete(t, i))
+        sums.append(s * math.fsum([d, *-t]))
+        slack.append(s * math.fsum([d, -t[i], *off]))
+    return np.array(sums), min(slack)
+
+
+def _assert_matches_reference(structure, scheme):
+    got = solver.check_structure(system_of(structure, scheme))
+    want = _old_check_structure(structure.dense(), scheme)
+    assert (got.diagPositive, got.offDiagNegative, got.symmetric,
+            got.spdFactorizationOk) == (want.diagPositive, want.offDiagNegative,
+                                        want.symmetric, want.spdFactorizationOk)
+    sums, slack = _fsum_reference(structure)
+    assert np.all(np.abs(got.rowSums - sums) <= 2 * np.spacing(np.abs(sums)))
+    assert abs(got.minRowSlack - slack) <= 2 * np.spacing(abs(slack))
+
+
+# n = 1, 299 and 599 unknowns: the prefix-sum scan pads to a power of two
 STRUCTURE_SIZES = (("plc", 2), ("plc", 300), ("plc", 600),
                    ("pqc", 2), ("pqc", 150), ("pqc", 300))
+
+
+def _random_grid(rng, sizes, scale):
+    """Random cases on a grid of Toeplitz blocks with these block sizes,
+    as (name, structure): asymmetric, symmetric, dominant, asymmetric just
+    inside the tolerance, and asymmetric in one generator's last entry."""
+    def grid(diag, blocks):
+        return ToeplitzStructure(scale=scale, diag=diag, blocks=tuple(
+            tuple(map(tuple, block_row)) for block_row in blocks))
+
+    asymmetric = [[(rng.standard_normal(m), rng.standard_normal(k))
+                   for k in sizes] for m in sizes]
+    symmetric = [[None] * len(sizes) for _ in sizes]
+    for p in range(len(sizes)):
+        for q in range(p, len(sizes)):
+            column, row = asymmetric[p][q]
+            if p == q:
+                row = column.copy()
+            symmetric[p][q] = (column, row)
+            # block (q, p) is the transpose of (p, q): its first column is
+            # the first row of (p, q) behind their shared corner column[0]
+            symmetric[q][p] = (np.concatenate((column[:1], row[1:])), column)
+    diag = rng.standard_normal(sum(sizes))
+    yield "random", grid(diag, asymmetric)
+    yield "symmetric", grid(diag, symmetric)
+    # dominant with negative off-diagonal entries: t_ij of the scale's sign,
+    # a_ii = scale * d_i + T_ii just over the row's off-diagonal |a_ij|
+    signed = [[(np.copysign(c, scale), np.copysign(r, scale))
+               for c, r in block_row] for block_row in symmetric]
+    T = grid(np.zeros(len(diag)), signed).dense()
+    off = np.sum(np.abs(T - np.diag(np.diag(T))), axis=1)
+    yield "dominant", grid((1.01 * off + 0.1 - np.diag(T)) / scale, signed)
+    big = np.max(np.abs(T)) / abs(scale)
+    nearly = [[(c + 1e-15 * big * rng.random(len(c)), r) for c, r in block_row]
+              for block_row in symmetric]
+    yield "nearly-symmetric", grid(diag, nearly)
+    late = [list(block_row) for block_row in symmetric]
+    column, row = late[0][-1]
+    late[0][-1] = (column, np.concatenate((row[:-1], row[-1:] + 1e-13 * big)))
+    yield "late-asymmetry", grid(diag, late)
 
 
 def _structure_cases():
     for scheme, N in STRUCTURE_SIZES:
         for gamma in (0.0, 0.7):
-            yield f"{scheme}-N{N}-g{gamma}", scheme, _structure(scheme, gamma, N)[0].dense()
+            yield f"{scheme}-N{N}-g{gamma}", scheme, _structure(scheme, gamma, N)[0]
     rng = np.random.default_rng(11)
-    for n in (1, 7, 32, 33, 256, 257, 600):   # row blocks of 32, tiles of 256
-        R = rng.standard_normal((n, n))
-        S = R + R.T
-        yield f"random-{n}", "plc", R
-        yield f"symmetric-{n}", "plc", S
-        yield f"dominant-{n}", "plc", S + np.diag(1.01 * np.sum(np.abs(S), axis=1))
-        yield f"nearly-symmetric-{n}", "plc", S + 1e-15 * np.max(np.abs(S)) * np.tril(R)
-        late = S.copy()
-        late[-1, n // 2] += 1e-13 * np.max(np.abs(S))   # in the last tile pair
-        yield f"late-asymmetry-{n}", "plc", late
+    for n in (1, 7, 32, 33, 256, 257, 600):
+        for name, structure in _random_grid(rng, (n,), 0.37):
+            yield f"{name}-{n}", "plc", structure
+    # 2x2 grids with square diagonal blocks of unequal sizes, one with a
+    # negative scale
+    for sizes, scale in (((1, 2), 0.37), ((16, 17), 2.5), ((128, 129), -0.6),
+                         ((299, 300), 1.0)):
+        for name, structure in _random_grid(rng, sizes, scale):
+            yield f"{name}-{sizes[0]}+{sizes[1]}", "plc", structure
+    # rho^|i-j| (Kac-Murdock-Szego): symmetric positive definite, but its
+    # rows are far from dominant
+    yield "kms-40", "plc", toeplitz(np.ones(40), -0.9 ** np.arange(40.0))
 
 
-@pytest.mark.parametrize("name, scheme, A", list(_structure_cases()),
+@pytest.mark.parametrize("name, scheme, structure", list(_structure_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
-def test_check_structure_matches_old_formulas(name, scheme, A):
-    system = CollocationSystem(operator=A, rhs=np.zeros(len(A)), scheme=scheme,
-                               nodes=np.zeros(len(A)))
-    got, want = solver.check_structure(system), _old_check_structure(system)
-    assert np.array_equal(got.rowSums, want.rowSums)
-    assert got.minRowSlack == want.minRowSlack
-    assert (got.diagPositive, got.offDiagNegative, got.symmetric,
-            got.spdFactorizationOk) == (want.diagPositive, want.offDiagNegative,
-                                        want.symmetric, want.spdFactorizationOk)
+def test_check_structure_matches_old_formulas(name, scheme, structure):
+    _assert_matches_reference(structure, scheme)
 
 
 @pytest.mark.parametrize("scheme, N", STRUCTURE_SIZES)
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
 def test_check_structure_generated_equals_dense(scheme, N, gamma):
-    structure, _ = _structure(scheme, gamma, N)
-    n = len(structure.diag)
-    got, want = (solver.check_structure(CollocationSystem(
-        operator=op, rhs=np.zeros(n), scheme=scheme, nodes=np.zeros(n)))
-        for op in (structure, structure.dense()))
-    assert np.array_equal(got.rowSums, want.rowSums)
-    assert got.minRowSlack == want.minRowSlack
-    assert (got.diagPositive, got.offDiagNegative, got.symmetric,
-            got.spdFactorizationOk) == (want.diagPositive, want.offDiagNegative,
-                                        want.symmetric, want.spdFactorizationOk)
+    _assert_matches_reference(_structure(scheme, gamma, N)[0], scheme)
+
+
+def test_check_structure_never_forms_the_matrix(monkeypatch):
+    """Only the PLC Cholesky fallback reads the dense matrix."""
+    calls = []
+
+    def refuse(self):
+        calls.append(len(self.diag))
+        raise AssertionError("dense matrix formed")
+
+    monkeypatch.setattr(ToeplitzStructure, "dense", refuse)
+    for scheme, N in (("pqc", 64), ("plc", 64)):
+        structure, _ = _structure(scheme, 0.7, N)
+        report = solver.check_structure(system_of(structure, scheme))
+        assert report.diagPositive and report.offDiagNegative
+    assert calls == []
+    kms = toeplitz(np.ones(5), -0.9 ** np.arange(5.0))
+    with pytest.raises(AssertionError, match="dense matrix formed"):
+        solver.check_structure(system_of(kms))
+    assert calls == [5]
 
 
 class TestLazyMatrix:
@@ -320,12 +403,6 @@ class TestLazyMatrix:
         first = system.matrix
         assert system.matrix is first
         assert first.tobytes() == structure.dense().tobytes()
-
-    def test_plain_matrix_is_the_given_one(self):
-        A = np.eye(3)
-        system = wrap(A, np.zeros(3))
-        assert system.matrix is A
-        assert system.structure is None
 
     def test_assemble_to_check_stays_small(self):
         # PQC N = 2048: the dense matrix alone would be 134 MB
@@ -358,22 +435,21 @@ class TestSpdFlag:
         return calls
 
     def test_dominant_plc_operator_skips_cholesky(self, cholesky_calls):
-        A = _structure("plc", 0.7, 64)[0].dense()
-        report = solver.check_structure(wrap(A, np.zeros(len(A))))
+        report = solver.check_structure(system_of(_structure("plc", 0.7, 64)[0]))
         assert report.spdFactorizationOk is True
         assert cholesky_calls == []
 
     def test_non_dominant_spd_still_factorized(self, cholesky_calls):
-        R = np.random.default_rng(5).standard_normal((40, 40))
-        A = R @ R.T + 0.1 * np.eye(40)
-        report = solver.check_structure(wrap(A, np.zeros(40)))
+        # rho^|i-j| (Kac-Murdock-Szego) with rho near 1
+        A = toeplitz(np.ones(40), -0.9 ** np.arange(40.0))
+        report = solver.check_structure(system_of(A))
         assert report.symmetric and report.minRowSlack < 0.0
         assert report.spdFactorizationOk is True
         assert cholesky_calls == [40]
 
     def test_symmetric_indefinite_reported(self, cholesky_calls):
-        A = np.array([[1.0, 2.0], [2.0, 1.0]])
-        report = solver.check_structure(wrap(A, np.zeros(2)))
+        # [[1, 2], [2, 1]]
+        report = solver.check_structure(system_of(toeplitz([1, 1], [0, -2])))
         assert report.symmetric
         assert report.spdFactorizationOk is False
         assert cholesky_calls == [2]
