@@ -18,10 +18,8 @@ from nlcolloc.study import (StudyConfig, emit_table, report_filename,
 POINT_TAGS = {"first": "first", 1.0 / 3.0: "third", "center": "center"}
 
 
-def main(argv):
-    outdir = pathlib.Path(argv[1] if len(argv) > 1 else "tables")
-    outdir.mkdir(parents=True, exist_ok=True)
-
+def write_truncation_tables(outdir: pathlib.Path) -> None:
+    """The truncation-error tables: per scheme, gamma and evaluation point."""
     for scheme in ("plc", "pqc"):
         for gamma in (0.3, 0.7):
             config = StudyConfig(scheme=scheme, mode="truncation", gamma=gamma,
@@ -35,6 +33,9 @@ def main(argv):
                 print(f"# {path} ({report.label})")
                 print(text)
 
+
+def write_global_tables(outdir: pathlib.Path) -> None:
+    """The global-error tables: per scheme and gamma."""
     for scheme in ("plc", "pqc"):
         for gamma in (0.0, 0.3, 0.7):
             config = StudyConfig(scheme=scheme, mode="global", gamma=gamma,
@@ -45,6 +46,13 @@ def main(argv):
             path.write_text(text)
             print(f"# {path}")
             print(text)
+
+
+def main(argv):
+    outdir = pathlib.Path(argv[1] if len(argv) > 1 else "tables")
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_truncation_tables(outdir)
+    write_global_tables(outdir)
     return 0
 
 

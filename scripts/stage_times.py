@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the stages of the large global solves, untraced.
+"""Time the stages of the large global solves and of truncation-error
+evaluation, untraced.
 
 Usage: OPENBLAS_NUM_THREADS=1 python scripts/stage_times.py [gamma] [repeats]
 
@@ -11,6 +12,13 @@ check_structure, measured in one further run.  Nothing reads
 `system.matrix`, so a stage that forms the dense matrix shows it here;
 none does on these dominant systems, and check_structure reads only the
 Toeplitz generators, in O(n).
+
+Then, for PLC and PQC at N=512 and the points a+h, 1/3 and the centre of
+(0, 1), prints the median wall time in ms of the two halves of one
+truncation error |I - I_k|: the interpolant's integral
+(`interpolant_integral`, all cells in one moment pass) and the oracle's
+I(a, b, x) at that point (`singular_integral`; its Gauss-Jacobi rules are
+cached after the first repeat).
 """
 
 import statistics
@@ -18,11 +26,12 @@ import sys
 import time
 import tracemalloc
 
-from nlcolloc import oracle, solver
+from nlcolloc import oracle, plc, pqc, solver
 from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.study import SCHEMES
 
 CASES = (("plc", 4096), ("pqc", 2048))
+TRUNCATION_N = 512
 
 
 def stages(scheme, params, grid):
@@ -52,6 +61,23 @@ def peak_mb(scheme, params, grid):
     return peak / 2**20
 
 
+def truncation_stages(scheme, params, grid, x):
+    """Wall time in seconds of the interpolant integral and of the oracle
+    at x."""
+    u = oracle.exponential()
+    rule = SCHEMES[scheme].make_rule(params, grid)
+    int_samples = u(grid.integer_nodes())
+    half_samples = u(grid.half_nodes())
+    t0 = time.perf_counter()
+    if scheme == "plc":
+        plc.interpolant_integral(rule, int_samples, x)
+    else:
+        pqc.interpolant_integral(rule, int_samples, half_samples, x)
+    t1 = time.perf_counter()
+    oracle.singular_integral(u, (grid.a, grid.b), params, x, tol=1e-13)
+    return t1 - t0, time.perf_counter() - t1
+
+
 def main(argv):
     gamma = float(argv[1]) if len(argv) > 1 else 0.7
     repeats = int(argv[2]) if len(argv) > 2 else 3
@@ -63,6 +89,15 @@ def main(argv):
         medians = [1e3 * statistics.median(stage) for stage in zip(*runs)]
         print(f"{scheme}:N={N}," + ",".join(f"{t:.1f}" for t in medians)
               + f",{peak_mb(scheme, params, grid):.1f}")
+    print("case,x,interpolant_ms,oracle_ms")
+    grid = UniformGrid(0.0, 1.0, TRUNCATION_N)
+    for scheme in ("plc", "pqc"):
+        for tag, x in (("a+h", grid.h), ("1/3", 1.0 / 3.0), ("centre", 0.5)):
+            runs = [truncation_stages(scheme, params, grid, x)
+                    for _ in range(repeats)]
+            medians = [1e3 * statistics.median(stage) for stage in zip(*runs)]
+            print(f"{scheme}:N={TRUNCATION_N},{tag},"
+                  + ",".join(f"{t:.2f}" for t in medians))
     return 0
 
 

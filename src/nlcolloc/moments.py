@@ -4,61 +4,90 @@ Every cell contribution is a polynomial (in powers of y - x) times the
 kernel, which integrates in closed form through the power primitives
 below.  This is the workhorse for evaluating an interpolant's singular
 integral at arbitrary points, including points inside a cell.
+
+The primitives take a stack of cells, one row per cell, and work on all
+rows at once; a single cell (scalar bounds, 1-D nodes) is the one-row
+case and keeps its own shape.  Each row is rounded exactly as that cell
+alone would be.
 """
 
 import numpy as np
 
 
-def segment_moments(x: float, lo: float, hi: float, gamma: float,
-                    kmax: int) -> np.ndarray:
+def segment_moments(x: float, lo, hi, gamma: float, kmax: int) -> np.ndarray:
     """Moments M_k = int_lo^hi (y - x)^k |x - y|^(-gamma) dy, k = 0..kmax.
 
-    The segment may lie on either side of x or straddle it.
+    lo and hi are scalars, giving shape (kmax+1,), or arrays of N segments,
+    giving one row per segment, shape (N, kmax+1).  A segment may lie on
+    either side of x or straddle it; an empty one (hi <= lo) has zero
+    moments.
     """
-    if hi <= lo:
-        return np.zeros(kmax + 1)
-    if lo < x < hi:
-        return (segment_moments(x, lo, x, gamma, kmax)
-                + segment_moments(x, x, hi, gamma, kmax))
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     k = np.arange(kmax + 1)
     e = k + 1.0 - gamma
-    if lo >= x:
-        return ((hi - x) ** e - (lo - x) ** e) / e
-    # hi <= x: (y - x)^k = (-1)^k (x - y)^k
-    return (-1.0) ** k * ((x - lo) ** e - (x - hi) ** e) / e
+
+    def powers(d):
+        # the exponents stay one array: with a scalar exponent 2.0 (gamma
+        # = 0) numpy squares instead of calling pow(), which rounds
+        # differently in the last bit
+        return np.asarray(d)[..., None] ** e
+
+    # Each segment is its part right of x plus its part left of x.  Bounds
+    # are clipped to x, so a part on the other side has zero length and
+    # every base is >= 0.
+    right = (powers(np.maximum(hi, x) - x) - powers(np.maximum(lo, x) - x)) / e
+    # left of x: (y - x)^k = (-1)^k (x - y)^k
+    left = (-1.0) ** k * (powers(x - np.minimum(lo, x))
+                          - powers(x - np.minimum(hi, x))) / e
+    return np.where((hi > lo)[..., None], left + right, 0.0)
 
 
 def poly_coeffs_about(x: float, ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Coefficients of the interpolating polynomial through (ts[i], vs[i]),
     expressed in powers of (y - x).  Supports 2 points (linear) or 3
     (quadratic), via exact divided differences.
+
+    ts and vs hold one cell's points, or one row of points per cell; the
+    coefficients follow the same layout along the last axis.
     """
     t = np.asarray(ts, dtype=float) - x
     v = np.asarray(vs, dtype=float)
-    if len(t) == 2:
-        c1 = (v[1] - v[0]) / (t[1] - t[0])
-        return np.array([v[0] - c1 * t[0], c1])
-    if len(t) == 3:
-        d01 = (v[1] - v[0]) / (t[1] - t[0])
-        d12 = (v[2] - v[1]) / (t[2] - t[1])
-        c2 = (d12 - d01) / (t[2] - t[0])
-        c1 = d01 - c2 * (t[0] + t[1])
-        c0 = v[0] - c1 * t[0] - c2 * t[0] ** 2
-        return np.array([c0, c1, c2])
+    t0, v0 = t[..., 0], v[..., 0]
+    if t.shape[-1] == 2:
+        c1 = (v[..., 1] - v0) / (t[..., 1] - t0)
+        return np.stack([v0 - c1 * t0, c1], axis=-1)
+    if t.shape[-1] == 3:
+        d01 = (v[..., 1] - v0) / (t[..., 1] - t0)
+        d12 = (v[..., 2] - v[..., 1]) / (t[..., 2] - t[..., 1])
+        c2 = (d12 - d01) / (t[..., 2] - t0)
+        c1 = d01 - c2 * (t0 + t[..., 1])
+        # pow(), as a scalar t0 ** 2 calls: an array's ** 2 is a square,
+        # which rounds differently in the last bit
+        c0 = v0 - c1 * t0 - c2 * np.float_power(t0, 2)
+        return np.stack([c0, c1, c2], axis=-1)
     raise ValueError("expected 2 or 3 interpolation points")
 
 
 def cell_integral(x: float, cell_nodes: np.ndarray, cell_values: np.ndarray,
-                  gamma: float, lo: float = None, hi: float = None) -> float:
+                  gamma: float, lo=None, hi=None):
     """int (y - x)-polynomial * |x - y|^(-gamma) over [lo, hi].
 
     The polynomial interpolates cell_values at cell_nodes; the integration
-    range defaults to the cell [cell_nodes[0], cell_nodes[-1]].
+    range defaults to the cell [cell_nodes[0], cell_nodes[-1]].  For one
+    cell the result is a float; for rows of cells (nodes and values of
+    shape (N, 2) or (N, 3), lo and hi scalars or of shape (N,)) it is an
+    array of the N cell integrals.
     """
+    nodes = np.asarray(cell_nodes, dtype=float)
     if lo is None:
-        lo = cell_nodes[0]
+        lo = nodes[..., 0]
     if hi is None:
-        hi = cell_nodes[-1]
-    c = poly_coeffs_about(x, cell_nodes, cell_values)
-    mom = segment_moments(x, lo, hi, gamma, len(c) - 1)
-    return float(c @ mom)
+        hi = nodes[..., -1]
+    c = poly_coeffs_about(x, nodes, cell_values)
+    mom = segment_moments(x, lo, hi, gamma, c.shape[-1] - 1)
+    # One dot product per row, (1, k) @ (k, 1): numpy hands these to BLAS
+    # ddot, as for one cell, where an elementwise sum of products rounds
+    # differently.
+    values = np.matmul(c[..., None, :], mom[..., :, None])[..., 0, 0]
+    return float(values) if values.ndim == 0 else values

@@ -46,11 +46,15 @@ def interpolant_integral(rule: PlcIntegralRule, samples: np.ndarray,
     g = rule.grid
     if not g.a < x < g.b:
         raise ValueError(f"x={x} outside ({g.a}, {g.b})")
+    N = g.N
     xs = g.integer_nodes()
+    cells = np.column_stack((xs[:N], xs[1:N + 1]))
+    values = np.column_stack((samples[:N], samples[1:N + 1]))
     total = 0.0
-    for j in range(g.N):
-        total += moments.cell_integral(x, xs[j:j + 2], samples[j:j + 2],
-                                       rule.params.gamma)
+    # left to right: np.sum adds pairwise, which rounds differently
+    for v in moments.cell_integral(x, cells, values,
+                                   rule.params.gamma).tolist():
+        total += v
     return total
 
 

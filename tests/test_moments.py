@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from nlcolloc import moments
+from nlcolloc import moments, plc, pqc
+from nlcolloc.grid import KernelParams, UniformGrid
 
 
 def quad_moment(x, lo, hi, gamma, k):
@@ -84,3 +85,132 @@ def test_cell_integral_custom_range():
     got = moments.cell_integral(2.0, nodes, vals, 0.0, lo=0.25, hi=0.75)
     want = (0.75 ** 3 - 0.25 ** 3) / 3.0
     assert got == pytest.approx(want, rel=1e-13)
+
+
+# --- stacked cells against the cell-by-cell reference -----------------------
+# The reference below is the one-cell-at-a-time form of the primitives: the
+# stacked code must give the same bits, so the tables do not move.
+
+def ref_segment_moments(x, lo, hi, gamma, kmax):
+    if hi <= lo:
+        return np.zeros(kmax + 1)
+    if lo < x < hi:
+        return (ref_segment_moments(x, lo, x, gamma, kmax)
+                + ref_segment_moments(x, x, hi, gamma, kmax))
+    k = np.arange(kmax + 1)
+    e = k + 1.0 - gamma
+    if lo >= x:
+        return ((hi - x) ** e - (lo - x) ** e) / e
+    return (-1.0) ** k * ((x - lo) ** e - (x - hi) ** e) / e
+
+
+def ref_poly_coeffs(x, ts, vs):
+    t = np.asarray(ts, dtype=float) - x
+    v = np.asarray(vs, dtype=float)
+    if len(t) == 2:
+        c1 = (v[1] - v[0]) / (t[1] - t[0])
+        return np.array([v[0] - c1 * t[0], c1])
+    d01 = (v[1] - v[0]) / (t[1] - t[0])
+    d12 = (v[2] - v[1]) / (t[2] - t[1])
+    c2 = (d12 - d01) / (t[2] - t[0])
+    c1 = d01 - c2 * (t[0] + t[1])
+    c0 = v[0] - c1 * t[0] - c2 * t[0] ** 2
+    return np.array([c0, c1, c2])
+
+
+def ref_cell_integral(x, nodes, values, gamma, lo=None, hi=None):
+    lo = nodes[0] if lo is None else lo
+    hi = nodes[-1] if hi is None else hi
+    c = ref_poly_coeffs(x, nodes, values)
+    return float(c @ ref_segment_moments(x, lo, hi, gamma, len(c) - 1))
+
+
+def ref_interpolant_integral(scheme, grid, gamma, u, x):
+    xs = grid.integer_nodes()
+    xh = grid.half_nodes()
+    total = 0.0
+    for j in range(grid.N):
+        if scheme == "plc":
+            cell = xs[j:j + 2]
+        else:
+            cell = np.array([xs[j], xh[j], xs[j + 1]])
+        total += ref_cell_integral(x, cell, u(cell), gamma)
+    return total
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 3.0)])
+@pytest.mark.parametrize("N", [2, 3, 8, 64, 512])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
+@pytest.mark.parametrize("scheme", ["plc", "pqc"])
+def test_interpolant_integral_bitwise_equals_cell_by_cell(scheme, gamma, N,
+                                                           interval):
+    a, b = interval
+    grid = UniformGrid(a, b, N)
+    params = KernelParams(gamma)
+    u = np.exp if a == 0.0 else np.square
+    xs, xh = grid.integer_nodes(), grid.half_nodes()
+    rng = np.random.default_rng(N)
+    points = [a + grid.h, b - grid.h, xs[N // 2], xh[0], xh[N // 2], xh[-1],
+              *(a + (b - a) * rng.random(3))]
+    if scheme == "plc":
+        rule = plc.make_rule(params, grid)
+        got = [plc.interpolant_integral(rule, u(xs), x) for x in points]
+    else:
+        rule = pqc.make_rule(params, grid)
+        got = [pqc.interpolant_integral(rule, u(xs), u(xh), x) for x in points]
+    want = [ref_interpolant_integral(scheme, grid, gamma, u, x)
+            for x in points]
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("npoints", [2, 3])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
+def test_stacked_cell_integral_equals_row_by_row(npoints, gamma):
+    rng = np.random.default_rng(npoints)
+    rows, x = 300, 0.4
+    nodes = np.sort(rng.random((rows, npoints)), axis=1)
+    values = rng.standard_normal((rows, npoints))
+    stacked = moments.cell_integral(x, nodes, values, gamma)
+    assert stacked.shape == (rows,)
+    one_by_one = [moments.cell_integral(x, n, v, gamma)
+                  for n, v in zip(nodes, values)]
+    want = [ref_cell_integral(x, n, v, gamma) for n, v in zip(nodes, values)]
+    assert bits(stacked) == bits(one_by_one) == bits(want)
+    # custom ranges: left of, right of and straddling x, ending at x, and
+    # empty (hi <= lo)
+    lo = rng.choice([0.0, 0.1, 0.4, 0.5, 0.7], rows)
+    hi = rng.choice([0.05, 0.3, 0.4, 0.6, 0.9], rows)
+    assert np.any(hi <= lo)
+    stacked = moments.cell_integral(x, nodes, values, gamma, lo=lo, hi=hi)
+    one_by_one = [moments.cell_integral(x, n, v, gamma, lo=l, hi=h)
+                  for n, v, l, h in zip(nodes, values, lo, hi)]
+    want = [ref_cell_integral(x, n, v, gamma, l, h)
+            for n, v, l, h in zip(nodes, values, lo, hi)]
+    assert bits(stacked) == bits(one_by_one) == bits(want)
+    assert np.all(stacked[hi <= lo] == 0.0)
+
+
+@pytest.mark.parametrize("npoints", [2, 3])
+def test_stacked_poly_coeffs_equal_row_by_row(npoints):
+    # enough rows that pow(t, 2) and t * t, which differ in about one case
+    # in a thousand, meet a row where c0 shows it
+    rng = np.random.default_rng(10 + npoints)
+    nodes = np.sort(rng.random((20000, npoints)), axis=1)
+    values = rng.standard_normal((20000, npoints))
+    got = moments.poly_coeffs_about(0.4, nodes, values)
+    assert got.shape == (20000, npoints)
+    want = [ref_poly_coeffs(0.4, n, v) for n, v in zip(nodes, values)]
+    assert bits(got) == bits(want)
+
+
+def test_stacked_segment_moments_shape_and_rows():
+    lo = np.array([0.1, 0.2, 0.6, 0.5])
+    hi = np.array([0.3, 0.7, 0.9, 0.5])
+    got = moments.segment_moments(0.4, lo, hi, 0.6, 2)
+    assert got.shape == (4, 3)
+    for row, l, h in zip(got, lo, hi):
+        assert bits(row) == bits(ref_segment_moments(0.4, l, h, 0.6, 2))
