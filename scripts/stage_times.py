@@ -65,14 +65,13 @@ def truncation_stages(scheme, params, grid, x):
     """Wall time in seconds of the interpolant integral and of the oracle
     at x."""
     u = oracle.exponential()
-    rule = SCHEMES[scheme].make_rule(params, grid)
     int_samples = u(grid.integer_nodes())
     half_samples = u(grid.half_nodes())
     t0 = time.perf_counter()
     if scheme == "plc":
-        plc.interpolant_integral(rule, int_samples, x)
+        plc.interpolant_integral(params, grid, int_samples, x)
     else:
-        pqc.interpolant_integral(rule, int_samples, half_samples, x)
+        pqc.interpolant_integral(params, grid, int_samples, half_samples, x)
     t1 = time.perf_counter()
     oracle.singular_integral(u, (grid.a, grid.b), params, x, tol=1e-13)
     return t1 - t0, time.perf_counter() - t1

@@ -13,12 +13,8 @@ from .oracle import (ManufacturedProblem, OracleError, TestFunction,
                      boundary_basis_integrals, closed_form_integral, constant,
                      exact_nonlocal_rhs, exponential, kernel_row_integral,
                      monomial, singular_integral, singular_integrals)
-from .plc import (PlcIntegralRule, assemble_plc_system, plc_integral,
-                  plc_matrix, truncation_error)
-from .plc import make_rule as make_plc_rule
-from .pqc import (PqcIntegralRule, assemble_pqc_system, pqc_integral,
-                  pqc_matrix, pqc_truncation_at)
-from .pqc import make_rule as make_pqc_rule
+from .plc import assemble_plc_system, plc_integral, truncation_error
+from .pqc import assemble_pqc_system, pqc_integral, pqc_truncation_at
 from .solver import (CollocationSystem, SingularSystemError, StructureReport,
                      check_structure, gershgorin_reference_bound,
                      min_eigenvalue, solve_dense)
@@ -37,10 +33,8 @@ __all__ = [
     "singular_integrals",
     "closed_form_integral", "kernel_row_integral", "exact_nonlocal_rhs",
     "boundary_basis_integrals",
-    "PlcIntegralRule", "make_plc_rule", "plc_integral", "plc_matrix",
-    "assemble_plc_system", "truncation_error",
-    "PqcIntegralRule", "make_pqc_rule", "pqc_integral", "pqc_matrix",
-    "assemble_pqc_system", "pqc_truncation_at",
+    "plc_integral", "assemble_plc_system", "truncation_error",
+    "pqc_integral", "assemble_pqc_system", "pqc_truncation_at",
     "CollocationSystem", "StructureReport", "SingularSystemError",
     "solve_dense", "check_structure", "min_eigenvalue",
     "gershgorin_reference_bound",

@@ -197,7 +197,7 @@ def _cmd_coeffs(opt) -> str:
     scheme = study.SCHEMES[opt["scheme"]]
     out = []
     for N in opt["levels"]:
-        c = scheme.make_rule(params, UniformGrid(a, b, N)).coeffs
+        c = scheme.weights(params, UniformGrid(a, b, N))
         scale, *tables = (f.name for f in fields(c))   # scaling factor first
         out.append(f"# scheme = {opt['scheme']}, gamma = {opt['gamma']:g}, N = {N}")
         out.append(f"{scale} = {getattr(c, scale):.17g}")
@@ -226,7 +226,7 @@ def _cmd_check(opt) -> str:
     out = []
     for N in opt["levels"]:
         grid = UniformGrid(a, b, N)
-        op = scheme.structure(scheme.make_rule(params, grid).coeffs)
+        op = scheme.structure(scheme.weights(params, grid))
         report = solver.check_structure(CollocationSystem(
             operator=op, rhs=np.zeros(len(op.diag)), scheme=opt["scheme"],
             nodes=scheme.nodes(grid)))

@@ -7,6 +7,7 @@ test function carries a convergent-series second opinion, and constant /
 monomial functions have closed forms.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,19 +88,41 @@ def _pow(base, e: float):
 
 # --- Gauss-Jacobi route -----------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _recurrence(n: int, alpha: float, beta: float):
+    """Coefficients (a1, a2, a3, a4) of the three-term recurrence, each a
+    long-double array over k: for P^(alpha,beta), k = 2..n, and for the
+    (alpha+1, beta+1) family of the derivative, k = 2..n-1.
+
+    Each element is rounded as in a per-k scalar evaluation (same operation
+    order).  Cached, because every Newton step of _gauss_jacobi asks for
+    the same (n, alpha, beta).
+    """
+    alpha, beta = np.longdouble(alpha), np.longdouble(beta)
+    k = np.arange(2, n + 1, dtype=np.longdouble)
+    s = 2.0 * k + alpha + beta
+    poly = (2.0 * k * (k + alpha + beta) * (s - 2.0),
+            (s - 1.0) * (alpha ** 2 - beta ** 2),
+            (s - 2.0) * (s - 1.0) * s,
+            2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s)
+    k = k[:-1]
+    s = 2.0 * k + alpha + beta + 2.0
+    deriv = (2.0 * k * (k + alpha + beta + 2.0) * (s - 2.0),
+             (s - 1.0) * ((alpha + 1.0) ** 2 - (beta + 1.0) ** 2),
+             (s - 2.0) * (s - 1.0) * s,
+             2.0 * (k + alpha) * (k + beta) * s)
+    return poly, deriv
+
+
 def _jacobi_poly_and_deriv(n: int, alpha: float, beta: float, x: np.ndarray):
     """P_n^(alpha,beta)(x) and its derivative via the three-term recurrence."""
-    alpha, beta = np.longdouble(alpha), np.longdouble(beta)   # so a1..a4 are too
+    poly, deriv = _recurrence(n, alpha, beta)
+    alpha, beta = np.longdouble(alpha), np.longdouble(beta)
     p_prev = np.ones_like(x)
     p = 0.5 * (alpha + beta + 2.0) * x + 0.5 * (alpha - beta)
     if n == 0:
         p = p_prev
-    for k in range(2, n + 1):
-        s = 2.0 * k + alpha + beta
-        a1 = 2.0 * k * (k + alpha + beta) * (s - 2.0)
-        a2 = (s - 1.0) * (alpha ** 2 - beta ** 2)
-        a3 = (s - 2.0) * (s - 1.0) * s
-        a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s
+    for a1, a2, a3, a4 in zip(*poly):
         p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
     # derivative from the (alpha+1, beta+1) family
     if n == 0:
@@ -108,12 +131,7 @@ def _jacobi_poly_and_deriv(n: int, alpha: float, beta: float, x: np.ndarray):
     d = 0.5 * (alpha + beta + 4.0) * x + 0.5 * (alpha - beta)
     if n - 1 == 0:
         d = d_prev
-    for k in range(2, n):
-        s = 2.0 * k + alpha + beta + 2.0
-        a1 = 2.0 * k * (k + alpha + beta + 2.0) * (s - 2.0)
-        a2 = (s - 1.0) * ((alpha + 1.0) ** 2 - (beta + 1.0) ** 2)
-        a3 = (s - 2.0) * (s - 1.0) * s
-        a4 = 2.0 * (k + alpha) * (k + beta) * s
+    for a1, a2, a3, a4 in zip(*deriv):
         d, d_prev = ((a2 + a3 * x) * d - a4 * d_prev) / a1, d
     return p, 0.5 * (n + alpha + beta + 1.0) * d
 

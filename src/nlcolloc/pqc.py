@@ -5,8 +5,6 @@ Half-integer node subscripts are carried as doubled integer indices
 stays exact: over doubled indices it becomes (|2(i - j) - 1| - 1) / 2.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import coeffs, moments
@@ -15,15 +13,9 @@ from .oracle import ManufacturedProblem, TestFunction, singular_integral
 from .solver import CollocationSystem, ToeplitzStructure
 
 
-@dataclass(frozen=True)
-class PqcIntegralRule:
-    coeffs: coeffs.PqcCoeffs
-    grid: UniformGrid
-    params: KernelParams
-
-
-def make_rule(params: KernelParams, grid: UniformGrid) -> PqcIntegralRule:
-    return PqcIntegralRule(coeffs.pqc_weights(params, grid), grid, params)
+# The scheme interface, shared with plc: weights, structure, nodes, assemble
+# and truncation, all functions of (params, grid) or of the weight tables.
+weights = coeffs.pqc_weights
 
 
 # The four block index maps.  Rows are the integer nodes x_r, r = 1..N-1,
@@ -60,16 +52,15 @@ def _half_rows(c: coeffs.PqcCoeffs, s):
     return _p(c, s - j), _n(c, s - jh)
 
 
-def pqc_integral(rule: PqcIntegralRule, int_samples: np.ndarray,
+def pqc_integral(c: coeffs.PqcCoeffs, int_samples: np.ndarray,
                  half_samples: np.ndarray, i: int) -> float:
     """Weight-table evaluation at collocation node x_{i/2}, doubled index
     i in 1..2N-1."""
-    N = rule.grid.N
+    N = len(c.n)                     # n_0 .. n_{N-1}
     if len(int_samples) != N + 1 or len(half_samples) != N:
         raise ValueError("sample arrays must have lengths N+1 and N")
     if not 1 <= i <= 2 * N - 1:
         raise IndexError(f"doubled node index {i} outside 1..{2 * N - 1}")
-    c = rule.coeffs
     if i % 2 == 0:
         r = i // 2
         M, Q = _integer_rows(c, r)
@@ -85,41 +76,43 @@ def pqc_integral(rule: PqcIntegralRule, int_samples: np.ndarray,
     return c.eta * acc
 
 
-def interpolant_integral(rule: PqcIntegralRule, int_samples: np.ndarray,
-                         half_samples: np.ndarray, x: float) -> float:
+def interpolant_integral(params: KernelParams, grid: UniformGrid,
+                         int_samples: np.ndarray, half_samples: np.ndarray,
+                         x: float) -> float:
     """int u_Q(y) |x - y|^(-gamma) dy at arbitrary x in (a, b).
 
     Exact per-cell moment integration of the piecewise quadratic
     interpolant; the cell containing x is split at x inside the moment
     primitives, so non-junction points are handled too.
     """
-    g = rule.grid
-    if not g.a < x < g.b:
-        raise ValueError(f"x={x} outside ({g.a}, {g.b})")
-    N = g.N
-    xs = g.integer_nodes()
-    cells = np.column_stack((xs[:N], g.half_nodes(), xs[1:N + 1]))
+    if not grid.a < x < grid.b:
+        raise ValueError(f"x={x} outside ({grid.a}, {grid.b})")
+    N = grid.N
+    xs = grid.integer_nodes()
+    cells = np.column_stack((xs[:N], grid.half_nodes(), xs[1:N + 1]))
     values = np.column_stack((int_samples[:N], half_samples[:N],
                               int_samples[1:N + 1]))
     total = 0.0
     # left to right: np.sum adds pairwise, which rounds differently
-    for v in moments.cell_integral(x, cells, values,
-                                   rule.params.gamma).tolist():
+    for v in moments.cell_integral(x, cells, values, params.gamma).tolist():
         total += v
     return total
 
 
-def pqc_truncation_at(rule: PqcIntegralRule, u: TestFunction, x: float,
-                      tol: float = 1e-14) -> float:
+def pqc_truncation_at(params: KernelParams, grid: UniformGrid,
+                      u: TestFunction, x: float, tol: float = 1e-14) -> float:
     """|I(a,b,x) - I_2(a,b,x)| against the quadrature oracle.
 
     x may be a collocation node (junction) or any interior point.
     """
-    int_samples = u(rule.grid.integer_nodes())
-    half_samples = u(rule.grid.half_nodes())
-    approx = interpolant_integral(rule, int_samples, half_samples, x)
-    exact = singular_integral(u, (rule.grid.a, rule.grid.b), rule.params, x, tol)
+    int_samples = u(grid.integer_nodes())
+    half_samples = u(grid.half_nodes())
+    approx = interpolant_integral(params, grid, int_samples, half_samples, x)
+    exact = singular_integral(u, (grid.a, grid.b), params, x, tol)
     return abs(exact - approx)
+
+
+truncation = pqc_truncation_at
 
 
 # --- system assembly --------------------------------------------------------
@@ -139,12 +132,6 @@ def structure(c: coeffs.PqcCoeffs) -> ToeplitzStructure:
                              blocks=blocks)
 
 
-def pqc_matrix(params: KernelParams, grid: UniformGrid) -> np.ndarray:
-    """The dense matrix of the scheme's operator, with its weight tables
-    built from (params, grid)."""
-    return structure(coeffs.pqc_weights(params, grid)).dense()
-
-
 def nodes(grid: UniformGrid) -> np.ndarray:
     """Collocation point of each row, in the paper ordering."""
     return np.concatenate([grid.interior_nodes(), grid.half_nodes()])
@@ -161,7 +148,7 @@ def assemble_pqc_system(params: KernelParams, grid: UniformGrid,
     if len(problem.fValues) != 2 * N - 1:
         raise ValueError(
             f"expected {2 * N - 1} right-hand-side values, got {len(problem.fValues)}")
-    c = coeffs.pqc_weights(params, grid)
+    c = weights(params, grid)
     # fValues come ordered by increasing node; integers sit at odd doubled indices
     f_int = problem.fValues[1::2]
     f_half = problem.fValues[0::2]
@@ -174,15 +161,4 @@ def assemble_pqc_system(params: KernelParams, grid: UniformGrid,
                              nodes=nodes(grid))
 
 
-# --- scheme interface -------------------------------------------------------
-# study.SCHEMES maps 'pqc' to this module.  study and cli call make_rule,
-# structure, nodes and the two functions below, names that plc shares.  The
-# two look the scheme's own functions up at call time, so rebinding those
-# module attributes still takes effect.
-
-def assemble(params, grid, problem) -> CollocationSystem:
-    return assemble_pqc_system(params, grid, problem)
-
-
-def truncation(rule, u, x, tol) -> float:
-    return pqc_truncation_at(rule, u, x, tol)
+assemble = assemble_pqc_system

@@ -21,7 +21,8 @@ from .oracle import TestFunction, exact_nonlocal_rhs, exponential
 FLOOR = 1e-12
 
 # The one place a scheme name is mapped to its definition: the module that
-# provides make_rule, truncation, assemble, structure and nodes.
+# provides weights(params, grid), structure(weights), nodes(grid),
+# assemble(params, grid, problem) and truncation(params, grid, u, x, tol).
 SCHEMES = {"plc": plc, "pqc": pqc}
 
 # Eval points: "center" re-resolves to the midpoint junction (a+b)/2,
@@ -66,7 +67,6 @@ class StudyRow:
 @dataclass(frozen=True)
 class StudyReport:
     rows: tuple
-    normUsed: str
     label: str                 # which eval point / error the rows describe
     metadata: dict
 
@@ -138,16 +138,15 @@ def run_truncation_study(config: StudyConfig) -> list:
     for N in config.levels:
         grid = UniformGrid(a, b, N)
         hs.append(grid.h)
-        rule = scheme.make_rule(params, grid)
         for pt in config.evalPoints:
             x = _resolve_point(pt, grid)
             per_point[pt].append(
-                scheme.truncation(rule, u, x, config.oracleTolerance))
+                scheme.truncation(params, grid, u, x, config.oracleTolerance))
 
     meta = _metadata(config)
     return [
         StudyReport(rows=_build_rows(config.levels, hs, per_point[pt]),
-                    normUsed="abs", label=f"x={pt}", metadata=meta)
+                    label=f"x={pt}", metadata=meta)
         for pt in config.evalPoints
     ]
 
@@ -173,8 +172,7 @@ def run_global_study(config: StudyConfig) -> StudyReport:
         errors.append(float(np.max(np.abs(uh - u(system.nodes)))))
 
     return StudyReport(rows=_build_rows(config.levels, hs, errors),
-                       normUsed="max", label="max-norm error",
-                       metadata=_metadata(config))
+                       label="max-norm error", metadata=_metadata(config))
 
 
 # --- rendering and persistence ----------------------------------------------

@@ -102,9 +102,8 @@ def _truncation_column(scheme, gamma, column):
     errs = []
     for N in LEVELS:
         grid = UniformGrid(0.0, 1.0, N)
-        rule = definition.make_rule(params, grid)
         x = {"h": grid.h, "third": 1.0 / 3.0, "half": 0.5}[column]
-        errs.append(definition.truncation(rule, u, x, 1e-14))
+        errs.append(definition.truncation(params, grid, u, x, 1e-14))
     return errs
 
 
@@ -227,8 +226,8 @@ def test_criterion_5_structural_suite():
             grid = UniformGrid(0.0, 1.0, N)
 
             # PLC: M-matrix checks and the Gershgorin eigenvalue bound
-            A = plc.plc_matrix(params, grid)
-            c = plc.make_rule(params, grid).coeffs
+            c = plc.weights(params, grid)
+            A = plc.structure(c).dense()
             diag = np.diag(A)
             off = A - np.diag(diag)
             slack = diag - np.sum(np.abs(off), axis=1)
@@ -243,10 +242,10 @@ def test_criterion_5_structural_suite():
 
             # PQC: positivity, strict dominance, row-slack identity,
             # boundary-integral lower bounds
-            cq = pqc.make_rule(params, grid).coeffs
+            cq = pqc.weights(params, grid)
             for table in (cq.m, cq.p, cq.q, cq.n, cq.beta, cq.gammaB):
                 assert np.all(table > 0.0)
-            B = pqc.pqc_matrix(params, grid)
+            B = pqc.structure(cq).dense()
             diag = np.diag(B)
             off = B - np.diag(diag)
             slack = diag - np.sum(np.abs(off), axis=1)
@@ -275,7 +274,7 @@ def test_criterion_5_structural_suite():
     for gamma in (0.3, 0.7):
         params = KernelParams(gamma)
         grid = UniformGrid(0.0, 1.0, 16)
-        B = pqc.pqc_matrix(params, grid)
+        B = pqc.structure(pqc.weights(params, grid)).dense()
         slack = np.diag(B) - np.sum(np.abs(B - np.diag(np.diag(B))), axis=1)
         for row, x in ((0, grid.node(1)), (14, grid.node(15)),
                        (15, grid.node(0.5)), (30, grid.node(15.5))):
@@ -289,19 +288,19 @@ def test_criterion_6_exactness_suite():
     for gamma in (0.0, 0.2, 0.5, 0.8):
         params = KernelParams(gamma)
         grid = UniformGrid(0.0, 1.0, 16)
-        rp = plc.make_rule(params, grid)
-        rq = pqc.make_rule(params, grid)
+        cp = plc.weights(params, grid)
+        cq = pqc.weights(params, grid)
         for u in (constant(1.0), monomial(1)):
             s = u(grid.integer_nodes())
             for i in (1, 8, 15):
                 want = closed_form_integral(u, (0.0, 1.0), params, grid.node(i))
-                assert abs(plc.plc_integral(rp, s, i) - want) <= 1e-12 * abs(want)
+                assert abs(plc.plc_integral(cp, s, i) - want) <= 1e-12 * abs(want)
         for u in (constant(1.0), monomial(1), monomial(2)):
             si, sh = u(grid.integer_nodes()), u(grid.half_nodes())
             for i in (1, 2, 16, 31):
                 want = closed_form_integral(u, (0.0, 1.0), params,
                                             grid.node(i / 2.0))
-                got = pqc.pqc_integral(rq, si, sh, i)
+                got = pqc.pqc_integral(cq, si, sh, i)
                 assert abs(got - want) <= 1e-11 * abs(want)
         # both global solvers reproduce u == 1 at all nodes
         for scheme, definition in study.SCHEMES.items():

@@ -157,11 +157,11 @@ def test_interpolant_integral_bitwise_equals_cell_by_cell(scheme, gamma, N,
     points = [a + grid.h, b - grid.h, xs[N // 2], xh[0], xh[N // 2], xh[-1],
               *(a + (b - a) * rng.random(3))]
     if scheme == "plc":
-        rule = plc.make_rule(params, grid)
-        got = [plc.interpolant_integral(rule, u(xs), x) for x in points]
+        got = [plc.interpolant_integral(params, grid, u(xs), x)
+               for x in points]
     else:
-        rule = pqc.make_rule(params, grid)
-        got = [pqc.interpolant_integral(rule, u(xs), u(xh), x) for x in points]
+        got = [pqc.interpolant_integral(params, grid, u(xs), u(xh), x)
+               for x in points]
     want = [ref_interpolant_integral(scheme, grid, gamma, u, x)
             for x in points]
     assert bits(got) == bits(want)

@@ -11,8 +11,10 @@ from nlcolloc.oracle import (closed_form_integral, constant, exact_nonlocal_rhs,
                              exponential, monomial)
 
 
-def rule_for(gamma, N, a=0.0, b=1.0):
-    return plc.make_rule(KernelParams(gamma), UniformGrid(a, b, N))
+def scheme_for(gamma, N, a=0.0, b=1.0):
+    """(params, grid, weight tables) of one discretisation."""
+    params, grid = KernelParams(gamma), UniformGrid(a, b, N)
+    return params, grid, plc.weights(params, grid)
 
 
 class TestExactness:
@@ -21,59 +23,62 @@ class TestExactness:
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("u", [constant(2.5), monomial(1)])
     def test_weight_route(self, gamma, u):
-        r = rule_for(gamma, 16)
-        samples = u(r.grid.integer_nodes())
+        params, grid, c = scheme_for(gamma, 16)
+        samples = u(grid.integer_nodes())
         for i in (1, 7, 15):
-            want = closed_form_integral(u, (0.0, 1.0), r.params, r.grid.node(i))
-            got = plc.plc_integral(r, samples, i)
+            want = closed_form_integral(u, (0.0, 1.0), params, grid.node(i))
+            got = plc.plc_integral(c, samples, i)
             assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.6])
     @pytest.mark.parametrize("u", [constant(2.5), monomial(1)])
     def test_moment_route_at_arbitrary_x(self, gamma, u):
-        r = rule_for(gamma, 16)
-        samples = u(r.grid.integer_nodes())
+        params, grid, _ = scheme_for(gamma, 16)
+        samples = u(grid.integer_nodes())
         for x in (1.0 / 3.0, 0.05, 0.991):
-            want = closed_form_integral(u, (0.0, 1.0), r.params, x)
-            got = plc.interpolant_integral(r, samples, x)
+            want = closed_form_integral(u, (0.0, 1.0), params, x)
+            got = plc.interpolant_integral(params, grid, samples, x)
             assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_weight_and_moment_routes_agree_at_junctions():
-    r = rule_for(0.55, 32)
-    samples = np.exp(r.grid.integer_nodes())
+    params, grid, c = scheme_for(0.55, 32)
+    samples = np.exp(grid.integer_nodes())
     for i in range(1, 32):
-        w = plc.plc_integral(r, samples, i)
-        m = plc.interpolant_integral(r, samples, r.grid.node(i))
+        w = plc.plc_integral(c, samples, i)
+        m = plc.interpolant_integral(params, grid, samples, grid.node(i))
         assert w == pytest.approx(m, rel=1e-13)
 
 
 class TestValidation:
     def test_sample_count(self):
-        r = rule_for(0.5, 8)
+        _, _, c = scheme_for(0.5, 8)
         with pytest.raises(ValueError, match="samples"):
-            plc.plc_integral(r, np.ones(8), 1)
+            plc.plc_integral(c, np.ones(8), 1)
 
     def test_node_range(self):
-        r = rule_for(0.5, 8)
+        _, _, c = scheme_for(0.5, 8)
         with pytest.raises(IndexError):
-            plc.plc_integral(r, np.ones(9), 8)
+            plc.plc_integral(c, np.ones(9), 8)
 
     def test_eval_point_inside(self):
-        r = rule_for(0.5, 8)
+        params, grid, _ = scheme_for(0.5, 8)
         with pytest.raises(ValueError, match="outside"):
-            plc.interpolant_integral(r, np.ones(9), 1.5)
+            plc.interpolant_integral(params, grid, np.ones(9), 1.5)
 
 
 class TestTruncation:
     def test_second_order_at_center(self):
-        errs = [plc.truncation_error(rule_for(0.5, N), exponential(), 0.5)
+        params = KernelParams(0.5)
+        errs = [plc.truncation_error(params, UniformGrid(0.0, 1.0, N),
+                                     exponential(), 0.5)
                 for N in (32, 64, 128)]
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(abs(o - 2.0) < 0.1 for o in orders)
 
     def test_linear_u_hits_floor(self):
-        err = plc.truncation_error(rule_for(0.4, 32), monomial(1), 0.5)
+        err = plc.truncation_error(KernelParams(0.4), UniformGrid(0.0, 1.0, 32),
+                                   monomial(1), 0.5)
         assert err < 1e-13
 
 
@@ -99,16 +104,16 @@ class TestSystem:
         params, grid = KernelParams(0.35), UniformGrid(0.0, 1.0, 12)
         prob = exact_nonlocal_rhs(constant(), grid, params, nodes="plc")
         system = plc.assemble_plc_system(params, grid, prob)
-        c = plc.make_rule(params, grid).coeffs
+        c = plc.weights(params, grid)
         want = c.sigma * (c.alpha + c.alpha[::-1])
         assert np.allclose(solver.check_structure(system).rowSums, want,
                            rtol=1e-10, atol=0)
 
     def test_eigenvalue_above_gershgorin_bound(self):
         params, grid = KernelParams(0.7), UniformGrid(0.0, 1.0, 32)
-        A = plc.plc_matrix(params, grid)
+        c = plc.weights(params, grid)
+        A = plc.structure(c).dense()
         lam = solver.min_eigenvalue(A)
-        c = plc.make_rule(params, grid).coeffs
         slack = solver.check_structure(
             plc.assemble_plc_system(
                 params, grid,
@@ -123,12 +128,12 @@ class TestSystem:
     def test_rows_match_single_row_evaluator(self, N, gamma):
         # A = sigma (D - G), so with zero boundary values row i of
         # sigma d s - A s is the evaluator's sigma (G s)_i
-        r = rule_for(gamma, N)
+        _, _, c = scheme_for(gamma, N)
         samples = np.zeros(N + 1)
         samples[1:N] = np.random.default_rng(N).uniform(1.0, 2.0, N - 1)
         s = samples[1:N]
-        want = r.coeffs.sigma * r.coeffs.d * s - plc.plc_matrix(r.params, r.grid) @ s
-        got = [plc.plc_integral(r, samples, i) for i in range(1, N)]
+        want = c.sigma * c.d * s - plc.structure(c).dense() @ s
+        got = [plc.plc_integral(c, samples, i) for i in range(1, N)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_rhs_length_validated(self):

@@ -12,8 +12,10 @@ from nlcolloc.oracle import (boundary_basis_integrals, closed_form_integral,
                              monomial)
 
 
-def rule_for(gamma, N, a=0.0, b=1.0):
-    return pqc.make_rule(KernelParams(gamma), UniformGrid(a, b, N))
+def scheme_for(gamma, N, a=0.0, b=1.0):
+    """(params, grid, weight tables) of one discretisation."""
+    params, grid = KernelParams(gamma), UniformGrid(a, b, N)
+    return params, grid, pqc.weights(params, grid)
 
 
 def samples_of(u, grid):
@@ -26,49 +28,51 @@ class TestExactness:
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("u", [constant(1.5), monomial(1), monomial(2)])
     def test_weight_route_all_rows(self, gamma, u):
-        r = rule_for(gamma, 8)
-        si, sh = samples_of(u, r.grid)
+        params, grid, c = scheme_for(gamma, 8)
+        si, sh = samples_of(u, grid)
         for i in range(1, 16):
-            want = closed_form_integral(u, (0.0, 1.0), r.params,
-                                        r.grid.node(i / 2.0))
-            got = pqc.pqc_integral(r, si, sh, i)
+            want = closed_form_integral(u, (0.0, 1.0), params,
+                                        grid.node(i / 2.0))
+            got = pqc.pqc_integral(c, si, sh, i)
             assert got == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.6])
     @pytest.mark.parametrize("u", [monomial(2)])
     def test_moment_route_at_arbitrary_x(self, gamma, u):
-        r = rule_for(gamma, 8)
-        si, sh = samples_of(u, r.grid)
+        params, grid, _ = scheme_for(gamma, 8)
+        si, sh = samples_of(u, grid)
         for x in (1.0 / 3.0, 0.07, 0.93):
-            want = closed_form_integral(u, (0.0, 1.0), r.params, x)
-            got = pqc.interpolant_integral(r, si, sh, x)
+            want = closed_form_integral(u, (0.0, 1.0), params, x)
+            got = pqc.interpolant_integral(params, grid, si, sh, x)
             assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_weight_and_moment_routes_agree_at_all_rows():
-    r = rule_for(0.7, 16)
-    si, sh = samples_of(exponential(), r.grid)
+    params, grid, c = scheme_for(0.7, 16)
+    si, sh = samples_of(exponential(), grid)
     for i in range(1, 32):
-        w = pqc.pqc_integral(r, si, sh, i)
-        m = pqc.interpolant_integral(r, si, sh, i / 32.0)
+        w = pqc.pqc_integral(c, si, sh, i)
+        m = pqc.interpolant_integral(params, grid, si, sh, i / 32.0)
         assert w == pytest.approx(m, rel=1e-12)
 
 
 class TestValidation:
     def test_sample_counts(self):
-        r = rule_for(0.5, 8)
+        _, _, c = scheme_for(0.5, 8)
         with pytest.raises(ValueError, match="lengths"):
-            pqc.pqc_integral(r, np.ones(8), np.ones(8), 1)
+            pqc.pqc_integral(c, np.ones(8), np.ones(8), 1)
 
     def test_row_range(self):
-        r = rule_for(0.5, 8)
+        _, _, c = scheme_for(0.5, 8)
         with pytest.raises(IndexError):
-            pqc.pqc_integral(r, np.ones(9), np.ones(8), 16)
+            pqc.pqc_integral(c, np.ones(9), np.ones(8), 16)
 
 
 class TestTruncation:
     def test_fourth_order_at_center(self):
-        errs = [pqc.pqc_truncation_at(rule_for(0.5, N), exponential(), 0.5)
+        params = KernelParams(0.5)
+        errs = [pqc.pqc_truncation_at(params, UniformGrid(0.0, 1.0, N),
+                                      exponential(), 0.5)
                 for N in (16, 32, 64)]
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(abs(o - 4.0) < 0.15 for o in orders)
@@ -77,13 +81,16 @@ class TestTruncation:
         # |I - I_2| = O(h^(4-gamma)) at non-junction x; compare same-parity
         # levels so x sits at the same relative cell position
         gamma, x = 0.6, 1.0 / 3.0
-        e1 = pqc.pqc_truncation_at(rule_for(gamma, 32), exponential(), x)
-        e2 = pqc.pqc_truncation_at(rule_for(gamma, 128), exponential(), x)
+        e1, e2 = (pqc.pqc_truncation_at(KernelParams(gamma),
+                                        UniformGrid(0.0, 1.0, N),
+                                        exponential(), x)
+                  for N in (32, 128))
         order = math.log(e1 / e2) / math.log(4.0)
         assert order == pytest.approx(4.0 - gamma, abs=0.1)
 
     def test_quadratic_u_hits_floor(self):
-        err = pqc.pqc_truncation_at(rule_for(0.4, 16), monomial(2), 0.5)
+        err = pqc.pqc_truncation_at(KernelParams(0.4), UniformGrid(0.0, 1.0, 16),
+                                    monomial(2), 0.5)
         assert err < 1e-12
 
 
@@ -124,16 +131,16 @@ class TestSystem:
     def test_rows_match_single_row_evaluator(self, N, gamma):
         # rows in paper order: x_1 .. x_{N-1} (doubled index 2r), then
         # x_{1/2} .. x_{N-1/2} (doubled index 2s + 1); zero boundary values
-        r = rule_for(gamma, N)
+        _, _, c = scheme_for(gamma, N)
         rng = np.random.default_rng(N)
         si = np.zeros(N + 1)
         si[1:N] = rng.uniform(1.0, 2.0, N - 1)
         sh = rng.uniform(1.0, 2.0, N)
         s = np.concatenate([si[1:N], sh])
-        d = np.concatenate([r.coeffs.dHalf[1::2], r.coeffs.dHalf[0::2]])
-        want = r.coeffs.eta * d * s - pqc.pqc_matrix(r.params, r.grid) @ s
+        d = np.concatenate([c.dHalf[1::2], c.dHalf[0::2]])
+        want = c.eta * d * s - pqc.structure(c).dense() @ s
         rows = list(range(2, 2 * N, 2)) + list(range(1, 2 * N, 2))
-        got = [pqc.pqc_integral(r, si, sh, i) for i in rows]
+        got = [pqc.pqc_integral(c, si, sh, i) for i in rows]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_rhs_length_validated(self):

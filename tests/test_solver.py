@@ -45,7 +45,7 @@ class TestSolveDense:
         params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, 2)
         prob = exact_nonlocal_rhs(exponential(), grid, params, nodes="plc")
         system = plc.assemble_plc_system(params, grid, prob)
-        c = plc.make_rule(params, grid).coeffs
+        c = plc.weights(params, grid)
         want = system.rhs[0] / (c.sigma * (c.d[0] - c.g[0]))
         assert solver.solve_dense(system)[0] == pytest.approx(want, rel=1e-14)
 
@@ -99,7 +99,7 @@ OLD_OPERATORS = {"plc": _old_plc_operator, "pqc": _old_pqc_operator}
 
 def _structure(scheme, gamma, N):
     module = SCHEMES[scheme]
-    c = module.make_rule(KernelParams(gamma), UniformGrid(0.0, 1.0, N)).coeffs
+    c = module.weights(KernelParams(gamma), UniformGrid(0.0, 1.0, N))
     return module.structure(c), c
 
 
@@ -218,7 +218,8 @@ class TestMinEigenvalue:
         assert solver.min_eigenvalue(A) == pytest.approx(1.0, rel=1e-10)
 
     def test_matches_dense_eigensolver(self):
-        A = plc.plc_matrix(KernelParams(0.4), UniformGrid(0.0, 1.0, 24))
+        A = plc.structure(
+            plc.weights(KernelParams(0.4), UniformGrid(0.0, 1.0, 24))).dense()
         want = np.min(linalg.eigvalsh(A))
         assert solver.min_eigenvalue(A) == pytest.approx(want, rel=1e-8)
 

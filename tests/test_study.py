@@ -1,10 +1,16 @@
 """Experiment driver: order fitting, table emission, study execution."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nlcolloc import study
-from nlcolloc.oracle import constant, exponential, monomial
+import nlcolloc
+from nlcolloc import coeffs, study
+from nlcolloc.grid import KernelParams, UniformGrid
+from nlcolloc.oracle import constant, exact_nonlocal_rhs, exponential, monomial
 from nlcolloc.study import StudyConfig, StudyReport, StudyRow
 
 
@@ -75,6 +81,29 @@ class TestTruncationStudy:
         with pytest.raises(ValueError, match="truncation"):
             study.run_truncation_study(config)
 
+    def test_builds_no_weight_table(self, monkeypatch):
+        # |I - I_k| needs only the interpolant, never the collocation weights
+        originals = (coeffs.plc_weights, coeffs.pqc_weights)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a weight table was built")
+
+        for name, module in list(sys.modules.items()):
+            if name == "nlcolloc" or name.startswith("nlcolloc."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is f for f in originals):
+                        monkeypatch.setattr(module, attr, refuse)
+        params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, 8)
+        for scheme, definition in study.SCHEMES.items():
+            assert definition.weights is refuse
+            problem = exact_nonlocal_rhs(constant(), grid, params, nodes=scheme)
+            with pytest.raises(AssertionError, match="weight table"):
+                definition.assemble(params, grid, problem)
+            config = StudyConfig(scheme, "truncation", 0.5, (8, 16),
+                                 evalPoints=("first", "center", 1.0 / 3.0))
+            reports = study.run_truncation_study(config)
+            assert [len(r.rows) for r in reports] == [2, 2, 2]
+
 
 class TestGlobalStudy:
     def test_constant_solution_reproduced(self):
@@ -102,8 +131,7 @@ class TestGlobalStudy:
 def synthetic_report():
     rows = (StudyRow(16, 1 / 16, 8.9488e-03, None),
             StudyRow(32, 1 / 32, 4.4746e-03, 0.9999))
-    return StudyReport(rows=rows, normUsed="max", label="max-norm error",
-                       metadata={})
+    return StudyReport(rows=rows, label="max-norm error", metadata={})
 
 
 class TestEmission:
@@ -130,7 +158,7 @@ class TestEmission:
                                  else pytest.approx(row.order, abs=1e-4))
 
     def test_empty_report_rejected(self):
-        empty = StudyReport(rows=(), normUsed="max", label="", metadata={})
+        empty = StudyReport(rows=(), label="", metadata={})
         with pytest.raises(ValueError, match="empty"):
             study.emit_table(empty)
 
@@ -141,6 +169,25 @@ class TestEmission:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             study.parse_table_csv("a,b\n1,2\n")
+
+
+def test_scheme_interface_and_traced_names_resolve():
+    # the benchmark's tracer looks these functions up by name; read its
+    # tables from bench/child.py without running it
+    path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    spec = importlib.util.spec_from_file_location("bench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    pairs = list(child.LAYERS) + list(child.COUNTED)
+    assert pairs
+    for module, function in pairs:
+        assert callable(getattr(getattr(nlcolloc, module), function)), \
+            f"nlcolloc.{module}.{function}"
+    for definition in study.SCHEMES.values():
+        for function in ("weights", "structure", "nodes", "assemble",
+                         "truncation"):
+            assert callable(getattr(definition, function)), \
+                f"{definition.__name__}.{function}"
 
 
 def test_report_filename():
