@@ -5,20 +5,23 @@ evaluation, untraced.
 Usage: OPENBLAS_NUM_THREADS=1 python scripts/stage_times.py [gamma] [repeats]
 
 For PLC N=4096 and PQC N=2048 (n = 4095 unknowns each, u = e^x on (0, 1),
-oracle tolerance 1e-13) prints the median wall time in ms of each stage:
-right-hand side, assemble, solve_dense and check_structure.  The last
-column is the tracemalloc peak in MB of assemble -> solve_dense ->
-check_structure, measured in one further run.  Nothing reads
-`system.matrix`, so a stage that forms the dense matrix shows it here;
-none does on these dominant systems, and check_structure reads only the
-Toeplitz generators, in O(n).
+oracle tolerance 1e-13) prints the wall time in ms of each stage: weight
+tables, right-hand side, assemble (its own weight tables included),
+solve_dense and check_structure.  Each stage shows the median over the
+repeats and, after a slash, the first repeat: the first repeat of a case
+pays first-use costs that the median hides, such as Gauss-Jacobi rules not
+yet cached (rules are cached per process, so the PQC case starts with the
+rules that the PLC case built).  The last column is the tracemalloc peak in
+MB of assemble -> solve_dense -> check_structure, measured in one further
+run.  Nothing reads `system.matrix`, so a stage that forms the dense matrix
+shows it here; none does on these dominant systems, and check_structure
+reads only the Toeplitz generators, in O(n).
 
 Then, for PLC and PQC at N=512 and the points a+h, 1/3 and the centre of
-(0, 1), prints the median wall time in ms of the two halves of one
+(0, 1), prints the same median/first pair in ms for the two halves of one
 truncation error |I - I_k|: the interpolant's integral
 (`interpolant_integral`, all cells in one moment pass) and the oracle's
-I(a, b, x) at that point (`singular_integral`; its Gauss-Jacobi rules are
-cached after the first repeat).
+I(a, b, x) at that point (`singular_integral`).
 """
 
 import statistics
@@ -37,6 +40,8 @@ TRUNCATION_N = 512
 def stages(scheme, params, grid):
     """Wall time in seconds of each stage of one solve."""
     t = [time.perf_counter()]
+    SCHEMES[scheme].weights(params, grid)
+    t.append(time.perf_counter())
     problem = oracle.exact_nonlocal_rhs(oracle.exponential(), grid, params,
                                         nodes=scheme, tol=1e-13)
     t.append(time.perf_counter())
@@ -77,26 +82,29 @@ def truncation_stages(scheme, params, grid, x):
     return t1 - t0, time.perf_counter() - t1
 
 
+def timings(runs, digits):
+    """'median/first' in ms for each stage of a list of per-run times."""
+    return ",".join(f"{1e3 * statistics.median(stage):.{digits}f}"
+                    f"/{1e3 * stage[0]:.{digits}f}" for stage in zip(*runs))
+
+
 def main(argv):
     gamma = float(argv[1]) if len(argv) > 1 else 0.7
     repeats = int(argv[2]) if len(argv) > 2 else 3
     params = KernelParams(gamma)
-    print("case,rhs_ms,assemble_ms,solve_ms,check_ms,peak_mb")
+    print("case,weights_ms,rhs_ms,assemble_ms,solve_ms,check_ms,peak_mb")
     for scheme, N in CASES:
         grid = UniformGrid(0.0, 1.0, N)
         runs = [stages(scheme, params, grid) for _ in range(repeats)]
-        medians = [1e3 * statistics.median(stage) for stage in zip(*runs)]
-        print(f"{scheme}:N={N}," + ",".join(f"{t:.1f}" for t in medians)
-              + f",{peak_mb(scheme, params, grid):.1f}")
+        print(f"{scheme}:N={N},{timings(runs, 1)},"
+              f"{peak_mb(scheme, params, grid):.1f}")
     print("case,x,interpolant_ms,oracle_ms")
     grid = UniformGrid(0.0, 1.0, TRUNCATION_N)
     for scheme in ("plc", "pqc"):
         for tag, x in (("a+h", grid.h), ("1/3", 1.0 / 3.0), ("centre", 0.5)):
             runs = [truncation_stages(scheme, params, grid, x)
                     for _ in range(repeats)]
-            medians = [1e3 * statistics.median(stage) for stage in zip(*runs)]
-            print(f"{scheme}:N={TRUNCATION_N},{tag},"
-                  + ",".join(f"{t:.2f}" for t in medians))
+            print(f"{scheme}:N={TRUNCATION_N},{tag},{timings(runs, 2)}")
     return 0
 
 

@@ -3,7 +3,9 @@
 All weight tables are pure functions of (gamma, N).  The three-term power
 differences cancel severely for large indices, so the closed forms are
 evaluated in extended precision (x87 long double) and rounded to float64
-once per table.
+once per table.  The powers are tabulated once per lattice point: j^(e-gamma)
+for PLC and (j/2)^(e-gamma) for PQC, one table per exponent, and every
+closed form reads them by index.
 """
 
 from dataclasses import dataclass
@@ -34,24 +36,32 @@ def eta_scaling(h: float, gamma: float) -> float:
     return h ** (1.0 - gamma) / ((3.0 - gamma) * (2.0 - gamma) * (1.0 - gamma))
 
 
+def _powers(top: int, gamma: float, exponents, halves: bool = False):
+    """One long-double table per exponent e: z ** (e - gamma) for z = j, or
+    z = j/2 when halves, over j = 0..top."""
+    z = np.arange(top + 1, dtype=_LD)
+    if halves:
+        z = z / 2
+    g = _LD(gamma)
+    return [z ** (e - g) for e in exponents]
+
+
 # --- piecewise linear weight functions -------------------------------------
+#
+# P2[j] = j^(2-gamma) and P1[j] = j^(1-gamma).
+
+def _plc_g(P2, k):
+    """g_k for integer k >= 0; g_0 = 2 (at k = 0, P2[k - 1] reads the last
+    entry, and the sum is discarded)."""
+    g = P2[k + 1] - 2 * P2[k] + P2[k - 1]
+    return np.where(k == 0, _LD(2), g).astype(np.float64)
+
 
 def plc_interior(k: np.ndarray, gamma: float) -> np.ndarray:
     """Interior weights g_k; g_0 = 2."""
-    k = np.asarray(k, dtype=_LD)
-    e = 2 - _LD(gamma)
-    km1 = np.where(k >= 1, k - 1, 0)  # avoid (-1)**e under the mask
-    g = (k + 1) ** e - 2 * k ** e + km1 ** e
-    g = np.where(k == 0, _LD(2), g)
-    return g.astype(np.float64)
-
-
-def plc_boundary(i: np.ndarray, gamma: float) -> np.ndarray:
-    """Boundary weights alpha_i, i >= 1."""
-    i = np.asarray(i, dtype=_LD)
-    g = _LD(gamma)
-    a = (i - 1) ** (2 - g) - i ** (2 - g) + (2 - g) * i ** (1 - g)
-    return a.astype(np.float64)
+    k = np.asarray(k)
+    P2, = _powers(int(k.max(initial=0)) + 1, gamma, (2,))
+    return _plc_g(P2, k)
 
 
 @dataclass(frozen=True)
@@ -67,46 +77,46 @@ class PlcCoeffs:
 def plc_weights(params: KernelParams, grid: UniformGrid) -> PlcCoeffs:
     _check(params, grid)
     gam, N = params.gamma, grid.N
-    g = plc_interior(np.arange(N - 1), gam)
-    alpha = plc_boundary(np.arange(1, N), gam)
-    i = np.arange(1, N, dtype=_LD)
-    d = ((2 - _LD(gam)) * (i ** (1 - _LD(gam)) + (N - i) ** (1 - _LD(gam))))
-    return PlcCoeffs(sigma=sigma_scaling(grid.h, gam), g=g, alpha=alpha,
-                     d=d.astype(np.float64))
+    e = 2 - _LD(gam)
+    P2, P1 = _powers(N, gam, (2, 1))
+    i = np.arange(1, N)
+    alpha = P2[i - 1] - P2[i] + e * P1[i]
+    d = e * (P1[i] + P1[N - i])
+    return PlcCoeffs(sigma=sigma_scaling(grid.h, gam),
+                     g=_plc_g(P2, np.arange(N - 1)),
+                     alpha=alpha.astype(np.float64), d=d.astype(np.float64))
 
 
 # --- piecewise quadratic weight functions ----------------------------------
 #
-# The four families below accept a real argument z so that the half-index
-# identities p_k = m(k + 1/2), n_k = q(k - 1/2), gammaB_i = beta(i + 1/2)
-# reuse the same closed forms.
+# The three families below take a doubled index J (the point z = J/2), so
+# that the half-index identities p_k = m(k + 1/2), n_k = q(k - 1/2),
+# gammaB_i = beta(i + 1/2) reuse the same closed forms.  H3, H2 and H1 hold
+# (j/2)^(3-gamma), (j/2)^(2-gamma) and (j/2)^(1-gamma).
 
-def pqc_m(z: np.ndarray, gamma: float) -> np.ndarray:
-    """m(z) for z >= 1; m_0 = 2(1 + gamma) handled by the caller."""
-    z = np.asarray(z, dtype=_LD)
-    g = _LD(gamma)
-    v = 4 * ((z + 1) ** (3 - g) - (z - 1) ** (3 - g)) \
-        - (3 - g) * ((z + 1) ** (2 - g) + 6 * z ** (2 - g) + (z - 1) ** (2 - g))
-    return v.astype(np.float64)
+def _pqc_m(H3, H2, g, J):
+    """m(J/2) for J >= 2; m_0 = 2(1 + gamma) is set by the caller."""
+    return 4 * (H3[J + 2] - H3[J - 2]) \
+        - (3 - g) * (H2[J + 2] + 6 * H2[J] + H2[J - 2])
 
 
-def pqc_q(z: np.ndarray, gamma: float) -> np.ndarray:
-    """q(z) for z >= 0."""
-    z = np.asarray(z, dtype=_LD)
-    g = _LD(gamma)
-    v = -8 * ((z + 1) ** (3 - g) - z ** (3 - g)) \
-        + 4 * (3 - g) * ((z + 1) ** (2 - g) + z ** (2 - g))
-    return v.astype(np.float64)
+def _pqc_q(H3, H2, g, J):
+    """q(J/2) for J >= 0."""
+    return -8 * (H3[J + 2] - H3[J]) + 4 * (3 - g) * (H2[J + 2] + H2[J])
 
 
-def pqc_beta(z: np.ndarray, gamma: float) -> np.ndarray:
-    """beta(z) for z >= 1."""
-    z = np.asarray(z, dtype=_LD)
-    g = _LD(gamma)
-    v = 4 * (z ** (3 - g) - (z - 1) ** (3 - g)) \
-        - (3 - g) * (3 * z ** (2 - g) + (z - 1) ** (2 - g)) \
-        + (3 - g) * (2 - g) * z ** (1 - g)
-    return v.astype(np.float64)
+def _pqc_beta(H3, H2, H1, g, J):
+    """beta(J/2) for J >= 2."""
+    return 4 * (H3[J] - H3[J - 2]) \
+        - (3 - g) * (3 * H2[J] + H2[J - 2]) \
+        + (3 - g) * (2 - g) * H1[J]
+
+
+def _pqc_p0(H3, H2, H1, g):
+    """p_0 from the tables at 1/2 (J = 1) and 3/2 (J = 3); see pqc_p0."""
+    return (2 - g) * (1 - g) * 2 * (H3[3] + H3[1]) \
+        - 5 * (3 - g) * (1 - g) * (H2[3] - H2[1]) \
+        + 3 * (3 - g) * (2 - g) * (H1[3] - H1[1])
 
 
 def pqc_p0(gamma: float) -> float:
@@ -117,12 +127,8 @@ def pqc_p0(gamma: float) -> float:
     the integral of 2(y-x_0)(y-x_{1/2})/h^2 over [x_0, x_1] split at x_{1/2}
     plus the integral of 2(y-x_2)(y-x_{3/2})/h^2 over [x_1, x_2].
     """
-    g = _LD(gamma)
-    half, th = _LD(0.5), _LD(1.5)
-    v = (2 - g) * (1 - g) * 2 * (th ** (3 - g) + half ** (3 - g)) \
-        - 5 * (3 - g) * (1 - g) * (th ** (2 - g) - half ** (2 - g)) \
-        + 3 * (3 - g) * (2 - g) * (th ** (1 - g) - half ** (1 - g))
-    return float(v)
+    return float(_pqc_p0(*_powers(3, gamma, (3, 2, 1), halves=True),
+                         _LD(gamma)))
 
 
 @dataclass(frozen=True)
@@ -146,31 +152,32 @@ def pqc_weights(params: KernelParams, grid: UniformGrid) -> PqcCoeffs:
     _check(params, grid)
     gam, N = params.gamma, grid.N
     g = _LD(gam)
+    H3, H2, H1 = _powers(2 * N - 1, gam, (3, 2, 1), halves=True)
+    k = 2 * np.arange(1, N - 1)          # doubled z = 1 .. N-2
+    i = 2 * np.arange(1, N)              # doubled z = 1 .. N-1
 
     m = np.empty(N - 1)
     m[0] = 2.0 * (1.0 + gam)
-    if N > 2:
-        m[1:] = pqc_m(np.arange(1, N - 1), gam)
+    m[1:] = _pqc_m(H3, H2, g, k)
 
     p = np.empty(N - 1)
-    p[0] = pqc_p0(gam)
-    if N > 2:
-        p[1:] = pqc_m(np.arange(1, N - 1) + 0.5, gam)
+    p[0] = _pqc_p0(H3, H2, H1, g)
+    p[1:] = _pqc_m(H3, H2, g, k + 1)
 
-    q = pqc_q(np.arange(N - 1), gam)
+    q = _pqc_q(H3, H2, g, 2 * np.arange(N - 1)).astype(np.float64)
 
     n = np.empty(N)
     n[0] = float((2 - g) * _LD(2) ** (g + 1))
-    n[1:] = pqc_q(np.arange(1, N) - 0.5, gam)
+    n[1:] = _pqc_q(H3, H2, g, i - 1)
 
-    beta = pqc_beta(np.arange(1, N), gam)
+    beta = _pqc_beta(H3, H2, H1, g, i).astype(np.float64)
 
     gammaB = np.empty(N)
     gammaB[0] = float((2 - g) * (1 - g) * _LD(2) ** (g - 1))
-    gammaB[1:] = pqc_beta(np.arange(1, N) + 0.5, gam)
+    gammaB[1:] = _pqc_beta(H3, H2, H1, g, i + 1)
 
-    half = np.arange(1, 2 * N, dtype=_LD) / 2
-    dHalf = (3 - g) * (2 - g) * (half ** (1 - g) + (N - half) ** (1 - g))
+    half = np.arange(1, 2 * N)
+    dHalf = (3 - g) * (2 - g) * (H1[half] + H1[2 * N - half])
 
     return PqcCoeffs(eta=eta_scaling(grid.h, gam), m=m, p=p, q=q, n=n,
                      beta=beta, gammaB=gammaB, dHalf=dHalf.astype(np.float64))

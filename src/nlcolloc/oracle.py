@@ -180,10 +180,31 @@ def _sides(a: float, b: float, x: np.ndarray):
     return np.concatenate([x - a, b - x]), signs
 
 
-# Quadrature points per working array in _one_sided: 2**17 long doubles are
+# Quadrature points per working array in _rule_sums: 2**17 long doubles are
 # 2 MB, so a node set that fails to converge up to MAX_NODES_PER_SIDE costs a
 # few MB instead of nodes x 4096 x 16 B.
 CHUNK_ENTRIES = 2 ** 17
+
+
+def _side_scales(L, gamma: float):
+    """L^(1-gamma) in long double, per element."""
+    return np.asarray(L, dtype=np.longdouble) ** (1.0 - np.longdouble(gamma))
+
+
+def _rule_sums(u, x, step, gamma: float, n: int):
+    """int_0^1 u(x + step*s) s^(-gamma) ds in long double for each element
+    of the 1-D arrays x and step, with the n-point rule, over row chunks of
+    at most CHUNK_ENTRIES points."""
+    s, w = _gj_rule(n, gamma)
+    x = np.asarray(x, dtype=np.longdouble)
+    step = np.asarray(step, dtype=np.longdouble)
+    acc = np.empty(x.size, dtype=np.longdouble)
+    rows = max(1, CHUNK_ENTRIES // n)
+    for lo in range(0, x.size, rows):
+        y = step[lo:lo + rows, None] * s
+        y += x[lo:lo + rows, None]
+        acc[lo:lo + rows] = np.asarray(u(y), dtype=np.longdouble) @ w
+    return acc
 
 
 def _one_sided(u, x, L, gamma: float, sign, n: int):
@@ -192,20 +213,12 @@ def _one_sided(u, x, L, gamma: float, sign, n: int):
 
     Uses int_0^L u(x + sign*t) t^(-gamma) dt
     == L^(1-gamma) int_0^1 u(x + sign*L*s) s^(-gamma) ds with the n-point
-    rule, over row chunks of at most CHUNK_ENTRIES points.
+    rule.
     """
-    s, w = _gj_rule(n, gamma)
     shape = np.shape(x)
     x, L = np.ravel(x), np.ravel(L)
-    step = sign * L
-    acc = np.empty(x.size, dtype=np.longdouble)
-    rows = max(1, CHUNK_ENTRIES // n)
-    for lo in range(0, x.size, rows):
-        y = step[lo:lo + rows, None] * s
-        y += x[lo:lo + rows, None]
-        acc[lo:lo + rows] = np.asarray(u(y), dtype=np.longdouble) @ w
-    scale = L.astype(np.longdouble) ** (1.0 - np.longdouble(gamma))
-    return (scale * acc).astype(float).reshape(shape)
+    sums = _rule_sums(u, x, sign * L, gamma, n)
+    return (_side_scales(L, gamma) * sums).astype(float).reshape(shape)
 
 
 def singular_integrals(u: TestFunction, interval, params: KernelParams,
@@ -227,22 +240,30 @@ def singular_integrals(u: TestFunction, interval, params: KernelParams,
         raise ValueError("tol below 1e-14 is not attainable in double precision")
     gamma = params.gamma
 
-    def both_sides(x, n):
-        lengths, signs = _sides(a, b, x)
-        sides = _one_sided(u, np.concatenate([x, x]), lengths, gamma, signs, n)
-        return sides[:x.size] + sides[x.size:]
+    # both sides of every point, left sides first: each level gathers the
+    # sides of its open points, so the scales L^(1-gamma) are taken once
+    lengths, signs = _sides(a, b, xs)
+    points = np.concatenate([xs, xs]).astype(np.longdouble)
+    steps = (signs * lengths).astype(np.longdouble)
+    scales = _side_scales(lengths, gamma)
+
+    def both_sides(todo, n):
+        side = np.concatenate([todo, todo + xs.size])
+        sums = _rule_sums(u, points[side], steps[side], gamma, n)
+        values = (scales[side] * sums).astype(float)
+        return values[:todo.size] + values[todo.size:]
 
     values = np.empty(xs.size)
     todo = np.arange(xs.size)
     n = 4
-    prev = both_sides(xs, n)
+    prev = both_sides(todo, n)
     while todo.size:
         n *= 2
         if n > MAX_NODES_PER_SIDE:
             raise OracleError(
                 f"Gauss-Jacobi doubling did not converge below {tol} "
                 f"within {MAX_NODES_PER_SIDE} nodes per side")
-        cur = both_sides(xs[todo], n)
+        cur = both_sides(todo, n)
         # the roundoff term keeps tiny tolerances attainable on O(1) integrals
         done = np.abs(cur - prev) < tol / 4.0 + 2e-14 * np.abs(cur)
         values[todo[done]] = cur[done]

@@ -1,5 +1,6 @@
 """Solves and structural diagnostics shared by both collocation schemes."""
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -10,14 +11,16 @@ from scipy import linalg
 
 from .grid import KernelParams, UniformGrid
 
-# Above this many unknowns solve_dense takes the Krylov path when the system
-# carries its Toeplitz structure.  With one thread on a 2-core Xeon VM and
-# gamma in 0.3..0.95, both schemes, LU (forming the matrix included) takes
-# 5.5-6.4 ms at 511 unknowns against 1.5-10 ms for GMRES, which wins for
-# PLC at gamma <= 0.7 but loses for PQC at gamma >= 0.7; at 1023 LU takes
-# 33-37 ms against 3-13 ms.  Neither path wins throughout at 511 and GMRES
-# does at 1023, so every system up to 1024 unknowns stays on LU.
-KRYLOV_MIN_UNKNOWNS = 1024
+# Above this many unknowns solve_dense takes the Krylov path.  One thread on
+# a 2-core Xeon VM, u = e^x, gamma in {0.3, 0.7, 0.95}, medians of 7 over
+# two runs; LU includes forming the matrix, GMRES its block spectra:
+#   511 unknowns:  LU 6.4-8.1 ms; GMRES 0.9-2.7 ms (PLC), 2.5-5.5 ms (PQC)
+#   1023 unknowns: LU 36-40 ms;   GMRES 1.9-4.4 ms (PLC), 3.0-6.7 ms (PQC)
+# GMRES wins for both schemes throughout; at 383 unknowns LU still wins for
+# PQC at gamma = 0.95 (3.3-4.0 against 3.8-4.9 ms).  The crossover lies
+# between, and systems of up to 511 unknowns (PLC N <= 512, PQC N <= 256)
+# stay on LU.
+KRYLOV_MIN_UNKNOWNS = 511
 KRYLOV_RTOL = 1e-13          # GMRES stopping tolerance, relative to ||b||
 KRYLOV_ACCEPT = 1e-12        # largest true relative residual accepted
 KRYLOV_RESTART = 50          # inner iterations per GMRES cycle
@@ -162,22 +165,65 @@ def _solve_lu(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def solve_krylov(structure: ToeplitzStructure,
                  b: np.ndarray) -> Optional[np.ndarray]:
-    """Jacobi-preconditioned GMRES on the structure's FFT matvec.
+    """Restarted GMRES (Saad & Schultz 1986) with right Jacobi
+    preconditioning on the structure's FFT matvec.
 
-    Returns the solution when the true relative residual
-    ||b - A x|| / ||b|| is at most KRYLOV_ACCEPT, otherwise None.
+    Each cycle of at most KRYLOV_RESTART steps orthogonalises against the
+    basis by classical Gram-Schmidt applied twice, and reduces the Hessenberg
+    matrix by Givens rotations until the residual estimate is at most
+    KRYLOV_RTOL ||b||.  After each cycle the true residual b - A x decides:
+    the solution is returned when ||b - A x|| / ||b|| is at most
+    KRYLOV_ACCEPT; None is returned when the cycle lowered the true residual
+    by less than 10x (it has stalled, typically at the matvec's roundoff) or
+    after KRYLOV_CYCLES cycles.
     """
-    from scipy.sparse.linalg import LinearOperator, gmres
-
-    n = len(b)
+    m, n = KRYLOV_RESTART, len(b)
     inverse_diagonal = 1.0 / structure.diagonal()
-    A = LinearOperator((n, n), matvec=structure.matvec, dtype=float)
-    M = LinearOperator((n, n), matvec=lambda v: inverse_diagonal * v,
-                       dtype=float)
-    x, _ = gmres(A, b, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART,
-                 maxiter=KRYLOV_CYCLES, M=M)
-    residual = np.linalg.norm(b - structure.matvec(x))
-    return x if residual <= KRYLOV_ACCEPT * np.linalg.norm(b) else None
+    b_norm = np.linalg.norm(b)
+    x, r, r_norm = np.zeros(n), b, b_norm
+    if b_norm == 0.0:
+        return x
+    V = np.empty((m + 1, n))      # the Krylov basis, one row per vector
+    R = np.zeros((m, m))          # the Hessenberg matrix, once rotated
+    for _ in range(KRYLOV_CYCLES):
+        V[0] = r / r_norm
+        g, cs, sn = [float(r_norm)], [], []
+        for j in range(m):
+            w = structure.matvec(inverse_diagonal * V[j])
+            basis = V[:j + 1]
+            h = basis @ w
+            w -= h @ basis
+            correction = basis @ w
+            w -= correction @ basis
+            column = (h + correction).tolist() + [float(np.linalg.norm(w))]
+            for i in range(j):
+                column[i], column[i + 1] = (
+                    cs[i] * column[i] + sn[i] * column[i + 1],
+                    cs[i] * column[i + 1] - sn[i] * column[i])
+            rho = math.hypot(column[j], column[j + 1])
+            if rho == 0.0:
+                return None
+            cs.append(column[j] / rho)
+            sn.append(column[j + 1] / rho)
+            column[j] = rho
+            R[:j + 1, j] = column[:j + 1]
+            g.append(-sn[j] * g[j])
+            g[j] *= cs[j]
+            if abs(g[j + 1]) <= KRYLOV_RTOL * b_norm:
+                break
+            V[j + 1] = w / column[j + 1]
+        k = j + 1
+        y = np.array(g[:k])
+        for i in range(k - 1, -1, -1):
+            y[i] = (y[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
+        x += inverse_diagonal * (y @ V[:k])
+        r = b - structure.matvec(x)
+        previous, r_norm = r_norm, np.linalg.norm(r)
+        if r_norm <= KRYLOV_ACCEPT * b_norm:
+            return x
+        if r_norm > previous / 10.0:
+            return None
+    return None
 
 
 def min_eigenvalue(A: np.ndarray, tol: float = 1e-12, maxiter: int = 200) -> float:

@@ -1,6 +1,8 @@
 """Weight-table closed forms: identities at gamma = 0, positivity bounds,
 and agreement with quadrature on the boundary basis functions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,3 +165,126 @@ def test_dump_table_format():
     assert lines[0] == "index,value"
     assert lines[1].startswith("0,1")
     assert lines[2].startswith("1,0.5")
+
+
+# --- bitwise agreement with the per-element closed forms -------------------
+#
+# The weight tables read each power from a once-per-lattice-point table.
+# These are the closed forms as they read before that, one long-double
+# power per term, kept here as the reference the tables must equal bit for
+# bit.
+
+_LD = np.longdouble
+
+
+def _ref_plc_interior(k, gamma):
+    k = np.asarray(k, dtype=_LD)
+    e = 2 - _LD(gamma)
+    km1 = np.where(k >= 1, k - 1, 0)
+    g = (k + 1) ** e - 2 * k ** e + km1 ** e
+    return np.where(k == 0, _LD(2), g).astype(np.float64)
+
+
+def _ref_plc_boundary(i, gamma):
+    i = np.asarray(i, dtype=_LD)
+    g = _LD(gamma)
+    return ((i - 1) ** (2 - g) - i ** (2 - g)
+            + (2 - g) * i ** (1 - g)).astype(np.float64)
+
+
+def _ref_pqc_m(z, gamma):
+    z = np.asarray(z, dtype=_LD)
+    g = _LD(gamma)
+    v = 4 * ((z + 1) ** (3 - g) - (z - 1) ** (3 - g)) \
+        - (3 - g) * ((z + 1) ** (2 - g) + 6 * z ** (2 - g) + (z - 1) ** (2 - g))
+    return v.astype(np.float64)
+
+
+def _ref_pqc_q(z, gamma):
+    z = np.asarray(z, dtype=_LD)
+    g = _LD(gamma)
+    v = -8 * ((z + 1) ** (3 - g) - z ** (3 - g)) \
+        + 4 * (3 - g) * ((z + 1) ** (2 - g) + z ** (2 - g))
+    return v.astype(np.float64)
+
+
+def _ref_pqc_beta(z, gamma):
+    z = np.asarray(z, dtype=_LD)
+    g = _LD(gamma)
+    v = 4 * (z ** (3 - g) - (z - 1) ** (3 - g)) \
+        - (3 - g) * (3 * z ** (2 - g) + (z - 1) ** (2 - g)) \
+        + (3 - g) * (2 - g) * z ** (1 - g)
+    return v.astype(np.float64)
+
+
+def _ref_pqc_p0(gamma):
+    g = _LD(gamma)
+    half, th = _LD(0.5), _LD(1.5)
+    v = (2 - g) * (1 - g) * 2 * (th ** (3 - g) + half ** (3 - g)) \
+        - 5 * (3 - g) * (1 - g) * (th ** (2 - g) - half ** (2 - g)) \
+        + 3 * (3 - g) * (2 - g) * (th ** (1 - g) - half ** (1 - g))
+    return float(v)
+
+
+def _ref_plc(gam, N):
+    i = np.arange(1, N, dtype=_LD)
+    d = (2 - _LD(gam)) * (i ** (1 - _LD(gam)) + (N - i) ** (1 - _LD(gam)))
+    return coeffs.PlcCoeffs(
+        sigma=coeffs.sigma_scaling(1.0 / N, gam),
+        g=_ref_plc_interior(np.arange(N - 1), gam),
+        alpha=_ref_plc_boundary(np.arange(1, N), gam), d=d.astype(np.float64))
+
+
+def _ref_pqc(gam, N):
+    g = _LD(gam)
+    m = np.empty(N - 1)
+    m[0] = 2.0 * (1.0 + gam)
+    p = np.empty(N - 1)
+    p[0] = _ref_pqc_p0(gam)
+    if N > 2:
+        m[1:] = _ref_pqc_m(np.arange(1, N - 1), gam)
+        p[1:] = _ref_pqc_m(np.arange(1, N - 1) + 0.5, gam)
+    n = np.empty(N)
+    n[0] = float((2 - g) * _LD(2) ** (g + 1))
+    n[1:] = _ref_pqc_q(np.arange(1, N) - 0.5, gam)
+    gammaB = np.empty(N)
+    gammaB[0] = float((2 - g) * (1 - g) * _LD(2) ** (g - 1))
+    gammaB[1:] = _ref_pqc_beta(np.arange(1, N) + 0.5, gam)
+    half = np.arange(1, 2 * N, dtype=_LD) / 2
+    dHalf = (3 - g) * (2 - g) * (half ** (1 - g) + (N - half) ** (1 - g))
+    return coeffs.PqcCoeffs(
+        eta=coeffs.eta_scaling(1.0 / N, gam), m=m, p=p,
+        q=_ref_pqc_q(np.arange(N - 1), gam), n=n,
+        beta=_ref_pqc_beta(np.arange(1, N), gam), gammaB=gammaB,
+        dHalf=dHalf.astype(np.float64))
+
+
+def _assert_fields_bitwise_equal(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype, field.name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+
+BITWISE_GAMMAS = [0.0, 0.3, 0.5, 0.7, 0.95, 0.99]
+BITWISE_SIZES = [2, 3, 4, 8, 64, 513, 2048, 4096, coeffs.MAX_CELLS]
+
+
+@pytest.mark.parametrize("N", BITWISE_SIZES)
+@pytest.mark.parametrize("gamma", BITWISE_GAMMAS)
+def test_plc_tables_bitwise_equal_per_element_forms(gamma, N):
+    _assert_fields_bitwise_equal(plc_tables(gamma, N), _ref_plc(gamma, N))
+
+
+@pytest.mark.parametrize("N", BITWISE_SIZES)
+@pytest.mark.parametrize("gamma", BITWISE_GAMMAS)
+def test_pqc_tables_bitwise_equal_per_element_forms(gamma, N):
+    _assert_fields_bitwise_equal(pqc_tables(gamma, N), _ref_pqc(gamma, N))
+
+
+@pytest.mark.parametrize("gamma", BITWISE_GAMMAS + [0.42, 1e-9])
+def test_single_closed_forms_bitwise_equal_per_element_forms(gamma):
+    k = np.array([0, 1, 2, 7, 100])
+    assert coeffs.plc_interior(k, gamma).tobytes() == \
+        _ref_plc_interior(k, gamma).tobytes()
+    assert coeffs.pqc_p0(gamma) == _ref_pqc_p0(gamma)

@@ -165,7 +165,7 @@ class TestSolveAboveCutoff:
 
     def test_unconverged_gmres_falls_back_to_lu(self):
         # a random Toeplitz matrix: well conditioned, but its spectrum
-        # surrounds the origin, so 200 GMRES iterations do not converge
+        # surrounds the origin, so GMRES stalls and gives up
         n = solver.KRYLOV_MIN_UNKNOWNS + 76
         rng = np.random.default_rng(0)
         column, row = rng.standard_normal(n), rng.standard_normal(n)
@@ -178,6 +178,57 @@ class TestSolveAboveCutoff:
         x = solver.solve_dense(system)
         assert np.array_equal(x, solver._solve_lu(system.matrix, b))
         assert np.linalg.norm(b - system.matrix @ x) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.fixture
+def matvec_calls(monkeypatch):
+    """Counts ToeplitzStructure.matvec calls."""
+    calls = []
+    matvec = ToeplitzStructure.matvec
+
+    def counted(self, x):
+        calls.append(1)
+        return matvec(self, x)
+
+    monkeypatch.setattr(ToeplitzStructure, "matvec", counted)
+    return calls
+
+
+class TestGmres:
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 1025])
+    def test_dominant_toeplitz_matches_lu_in_one_cycle(self, n, matvec_calls):
+        # off-diagonal generators summing to at most 0.9 of the diagonal
+        rng = np.random.default_rng(n)
+        column, row = rng.uniform(0.0, 1.0, (2, n)) / np.arange(1, n + 1) ** 2
+        column[0] = 0.0
+        column *= 0.45 / max(column.sum(), 1.0)
+        row *= 0.45 / max(row[1:].sum(), 1.0)
+        structure = toeplitz(np.full(n, 1.0), column, row, scale=2.5)
+        b = rng.standard_normal(n)
+        x = solver.solve_krylov(structure, b)
+        assert x is not None
+        # one cycle's inner steps plus the true residual
+        assert len(matvec_calls) <= solver.KRYLOV_RESTART + 1
+        lu = solver._solve_lu(structure.dense(), b)
+        assert np.max(np.abs(x - lu)) <= 1e-10
+
+    def test_zero_rhs_gives_zero(self, matvec_calls):
+        structure = toeplitz(np.full(5, 2.0), np.full(5, 0.1))
+        x = solver.solve_krylov(structure, np.zeros(5))
+        assert np.array_equal(x, np.zeros(5))
+        assert not matvec_calls
+
+    def test_stalled_residual_goes_straight_to_lu(self, matvec_calls):
+        # b = 1 has a rough solution: GMRES's estimate converges, but the
+        # true residual stalls near 8e-12 at the matvec's roundoff; the cycle
+        # that no longer lowers it 10x ends the Krylov path
+        params, grid = KernelParams(0.95), UniformGrid(0.0, 1.0, 2048)
+        structure = pqc.structure(pqc.weights(params, grid))
+        b = np.ones(len(structure.diag))
+        system = system_of(structure, scheme="pqc", b=b)
+        x = solver.solve_dense(system)
+        assert len(matvec_calls) <= solver.KRYLOV_RESTART + 2
+        assert x.tobytes() == solver._solve_lu(system.matrix, b).tobytes()
 
 
 def _loaded_around_solve(module, N):
@@ -200,16 +251,19 @@ def _loaded_around_solve(module, N):
 
 
 def test_small_solves_leave_scipy_sparse_linalg_unloaded():
-    # scipy.sparse.linalg serves only the Krylov path above the cutoff; it
-    # would add to every cold CLI call.  N = 1025 gives 1024 unknowns, the
-    # largest system that stays on LU.
-    assert _loaded_around_solve("scipy.sparse.linalg", 1025) == ["False"] * 3
+    # neither solve path uses scipy.sparse.linalg; it would add to every
+    # cold CLI call.  PLC N = cutoff + 1 gives the largest system that stays
+    # on LU.
+    N = solver.KRYLOV_MIN_UNKNOWNS + 1
+    assert _loaded_around_solve("scipy.sparse.linalg", N) == ["False"] * 3
 
 
 def test_krylov_solve_leaves_scipy_fft_unloaded():
-    # the matvec's FFTs are numpy's; scipy.fft would cost a first-use import
-    # inside the solve.  N = 1026 gives 1025 unknowns, on the Krylov path.
-    assert _loaded_around_solve("scipy.fft", 1026) == ["False", "False", "True"]
+    # the matvec's FFTs are numpy's and the GMRES loop is the solver's own;
+    # scipy.fft or scipy.sparse.linalg would cost a first-use import inside
+    # the solve.  PLC N = cutoff + 2 gives the smallest Krylov-path system.
+    N = solver.KRYLOV_MIN_UNKNOWNS + 2
+    assert _loaded_around_solve("scipy.fft", N) == ["False"] * 3
 
 
 class TestMinEigenvalue:
@@ -407,7 +461,6 @@ class TestLazyMatrix:
 
     def test_assemble_to_check_stays_small(self):
         # PQC N = 2048: the dense matrix alone would be 134 MB
-        import scipy.sparse.linalg  # noqa: F401  (its import is not the solve)
         params, grid = KernelParams(0.7), UniformGrid(0.0, 1.0, 2048)
         prob = exact_nonlocal_rhs(exponential(), grid, params, nodes="pqc")
         tracemalloc.start()
