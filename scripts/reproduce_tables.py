@@ -12,8 +12,8 @@ and prints each table to stdout on the way.
 import pathlib
 import sys
 
-from nlcolloc.study import (StudyConfig, emit_table, report_filename,
-                            run_global_study, run_truncation_study)
+from nlcolloc.study import (StudyConfig, emit_table, run_global_study,
+                            run_truncation_study)
 
 POINT_TAGS = {"first": "first", 1.0 / 3.0: "third", "center": "center"}
 
@@ -22,12 +22,12 @@ def write_truncation_tables(outdir: pathlib.Path) -> None:
     """The truncation-error tables: per scheme, gamma and evaluation point."""
     for scheme in ("plc", "pqc"):
         for gamma in (0.3, 0.7):
-            config = StudyConfig(scheme=scheme, mode="truncation", gamma=gamma,
+            config = StudyConfig(scheme=scheme, gamma=gamma,
                                  levels=(64, 128, 256, 512),
                                  evalPoints=tuple(POINT_TAGS))
-            for report, point in zip(run_truncation_study(config), POINT_TAGS):
-                stem = report_filename(config)[:-4]
-                path = outdir / f"{stem}_{POINT_TAGS[point]}.csv"
+            for report, tag in zip(run_truncation_study(config),
+                                   POINT_TAGS.values()):
+                path = outdir / f"{scheme}_truncation_gamma{gamma:g}_{tag}.csv"
                 text = emit_table(report, "csv")
                 path.write_text(text)
                 print(f"# {path} ({report.label})")
@@ -38,10 +38,10 @@ def write_global_tables(outdir: pathlib.Path) -> None:
     """The global-error tables: per scheme and gamma."""
     for scheme in ("plc", "pqc"):
         for gamma in (0.0, 0.3, 0.7):
-            config = StudyConfig(scheme=scheme, mode="global", gamma=gamma,
+            config = StudyConfig(scheme=scheme, gamma=gamma,
                                  levels=(16, 32, 64, 128))
             report = run_global_study(config)
-            path = outdir / report_filename(config)
+            path = outdir / f"{scheme}_global_gamma{gamma:g}.csv"
             text = emit_table(report, "csv")
             path.write_text(text)
             print(f"# {path}")

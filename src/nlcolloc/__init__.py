@@ -19,8 +19,7 @@ from .solver import (CollocationSystem, SingularSystemError, StructureReport,
                      check_structure, gershgorin_reference_bound,
                      min_eigenvalue, solve_dense)
 from .study import (StudyConfig, StudyReport, StudyRow, emit_table,
-                    fit_orders, parse_table_csv, report_filename,
-                    run_global_study, run_truncation_study)
+                    fit_orders, run_global_study, run_truncation_study)
 
 __version__ = "0.1.0"
 
@@ -39,6 +38,5 @@ __all__ = [
     "solve_dense", "check_structure", "min_eigenvalue",
     "gershgorin_reference_bound",
     "StudyConfig", "StudyReport", "StudyRow", "run_truncation_study",
-    "run_global_study", "emit_table", "parse_table_csv", "fit_orders",
-    "report_filename",
+    "run_global_study", "emit_table", "fit_orders",
 ]

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -61,6 +62,8 @@ def _parse_interval(raw: str) -> tuple:
         a, b = (float(tok) for tok in raw.split(","))
     except ValueError:
         raise UsageError(f"--interval: expected 'a,b', got {raw!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise UsageError(f"--interval: endpoints must be finite, got {raw!r}")
     if not a < b:
         raise UsageError(f"--interval: need a < b, got {raw!r}")
     return a, b
@@ -246,9 +249,8 @@ def _cmd_check(opt) -> str:
 
 def _cmd_truncation(opt) -> str:
     config = study.StudyConfig(
-        scheme=opt["scheme"], mode="truncation", gamma=opt["gamma"],
-        levels=opt["levels"], interval=opt["interval"],
-        testFunction=_FUNCTIONS[opt["function"]](),
+        scheme=opt["scheme"], gamma=opt["gamma"], levels=opt["levels"],
+        interval=opt["interval"], testFunction=_FUNCTIONS[opt["function"]](),
         evalPoints=(opt["point"],))
     report = study.run_truncation_study(config)[0]
     return study.emit_table(report, opt["format"])
@@ -256,9 +258,8 @@ def _cmd_truncation(opt) -> str:
 
 def _cmd_converge(opt) -> str:
     config = study.StudyConfig(
-        scheme=opt["scheme"], mode="global", gamma=opt["gamma"],
-        levels=opt["levels"], interval=opt["interval"],
-        testFunction=_FUNCTIONS[opt["function"]]())
+        scheme=opt["scheme"], gamma=opt["gamma"], levels=opt["levels"],
+        interval=opt["interval"], testFunction=_FUNCTIONS[opt["function"]]())
     report = study.run_global_study(config)
     return study.emit_table(report, opt["format"])
 

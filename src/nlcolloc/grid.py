@@ -1,5 +1,6 @@
 """Kernel parameters and uniform partitions of the computational interval."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class UniformGrid:
     N: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"need finite a, b, got a={self.a}, b={self.b}")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
         if self.N < 2:

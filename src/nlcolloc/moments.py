@@ -70,22 +70,18 @@ def poly_coeffs_about(x: float, ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def cell_integral(x: float, cell_nodes: np.ndarray, cell_values: np.ndarray,
-                  gamma: float, lo=None, hi=None):
-    """int (y - x)-polynomial * |x - y|^(-gamma) over [lo, hi].
+                  gamma: float):
+    """int (y - x)-polynomial * |x - y|^(-gamma) over the cell
+    [cell_nodes[0], cell_nodes[-1]].
 
-    The polynomial interpolates cell_values at cell_nodes; the integration
-    range defaults to the cell [cell_nodes[0], cell_nodes[-1]].  For one
-    cell the result is a float; for rows of cells (nodes and values of
-    shape (N, 2) or (N, 3), lo and hi scalars or of shape (N,)) it is an
-    array of the N cell integrals.
+    The polynomial interpolates cell_values at cell_nodes.  For one cell
+    the result is a float; for rows of cells (nodes and values of shape
+    (N, 2) or (N, 3)) it is an array of the N cell integrals.
     """
     nodes = np.asarray(cell_nodes, dtype=float)
-    if lo is None:
-        lo = nodes[..., 0]
-    if hi is None:
-        hi = nodes[..., -1]
     c = poly_coeffs_about(x, nodes, cell_values)
-    mom = segment_moments(x, lo, hi, gamma, c.shape[-1] - 1)
+    mom = segment_moments(x, nodes[..., 0], nodes[..., -1], gamma,
+                          c.shape[-1] - 1)
     # One dot product per row, (1, k) @ (k, 1): numpy hands these to BLAS
     # ddot, as for one cell, where an elementwise sum of products rounds
     # differently.

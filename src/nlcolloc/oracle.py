@@ -88,52 +88,47 @@ def _pow(base, e: float):
 
 # --- Gauss-Jacobi route -----------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
-def _recurrence(n: int, alpha: float, beta: float):
+def _recurrence(n: int, beta):
     """Coefficients (a1, a2, a3, a4) of the three-term recurrence, each a
-    long-double array over k: for P^(alpha,beta), k = 2..n, and for the
-    (alpha+1, beta+1) family of the derivative, k = 2..n-1.
+    long-double array over k: for P^(0,beta), k = 2..n, and for the
+    (1, beta+1) family of the derivative, k = 2..n-1.  beta is a long
+    double.
 
     Each element is rounded as in a per-k scalar evaluation (same operation
-    order).  Cached, because every Newton step of _gauss_jacobi asks for
-    the same (n, alpha, beta).
+    order).  0.0 - beta**2 rather than a negation keeps the sign of zero at
+    beta = -0.0.
     """
-    alpha, beta = np.longdouble(alpha), np.longdouble(beta)
     k = np.arange(2, n + 1, dtype=np.longdouble)
-    s = 2.0 * k + alpha + beta
-    poly = (2.0 * k * (k + alpha + beta) * (s - 2.0),
-            (s - 1.0) * (alpha ** 2 - beta ** 2),
+    s = 2.0 * k + beta
+    poly = (2.0 * k * (k + beta) * (s - 2.0),
+            (s - 1.0) * (0.0 - beta ** 2),
             (s - 2.0) * (s - 1.0) * s,
-            2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s)
+            2.0 * (k - 1.0) * (k + beta - 1.0) * s)
     k = k[:-1]
-    s = 2.0 * k + alpha + beta + 2.0
-    deriv = (2.0 * k * (k + alpha + beta + 2.0) * (s - 2.0),
-             (s - 1.0) * ((alpha + 1.0) ** 2 - (beta + 1.0) ** 2),
+    s = 2.0 * k + beta + 2.0
+    deriv = (2.0 * k * (k + beta + 2.0) * (s - 2.0),
+             (s - 1.0) * (1.0 - (beta + 1.0) ** 2),
              (s - 2.0) * (s - 1.0) * s,
-             2.0 * (k + alpha) * (k + beta) * s)
+             2.0 * k * (k + beta) * s)
     return poly, deriv
 
 
-def _jacobi_poly_and_deriv(n: int, alpha: float, beta: float, x: np.ndarray):
-    """P_n^(alpha,beta)(x) and its derivative via the three-term recurrence."""
-    poly, deriv = _recurrence(n, alpha, beta)
-    alpha, beta = np.longdouble(alpha), np.longdouble(beta)
+def _jacobi_poly_and_deriv(n: int, beta, recurrence, x: np.ndarray):
+    """P_n^(0,beta)(x) and its derivative, n >= 1, via the three-term
+    recurrence with the coefficients _recurrence(n, beta)."""
+    poly, deriv = recurrence
     p_prev = np.ones_like(x)
-    p = 0.5 * (alpha + beta + 2.0) * x + 0.5 * (alpha - beta)
-    if n == 0:
-        p = p_prev
+    p = 0.5 * (beta + 2.0) * x + 0.5 * (0.0 - beta)
     for a1, a2, a3, a4 in zip(*poly):
         p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
-    # derivative from the (alpha+1, beta+1) family
-    if n == 0:
-        return p, np.zeros_like(x)
+    # derivative from the (1, beta+1) family
     d_prev = np.ones_like(x)
-    d = 0.5 * (alpha + beta + 4.0) * x + 0.5 * (alpha - beta)
-    if n - 1 == 0:
+    d = 0.5 * (beta + 4.0) * x + 0.5 * (0.0 - beta)
+    if n == 1:
         d = d_prev
     for a1, a2, a3, a4 in zip(*deriv):
         d, d_prev = ((a2 + a3 * x) * d - a4 * d_prev) / a1, d
-    return p, 0.5 * (n + alpha + beta + 1.0) * d
+    return p, 0.5 * (n + beta + 1.0) * d
 
 
 def _gauss_jacobi(n: int, beta: float):
@@ -144,32 +139,28 @@ def _gauss_jacobi(n: int, beta: float):
     ~1e-12 for beta near -1 at larger n); weights come from the closed-form
     derivative formula.
     """
+    beta_ld = np.longdouble(beta)
+    recurrence = _recurrence(n, beta_ld)
     x0, _ = roots_jacobi(n, 0.0, beta)
     x = x0.astype(np.longdouble)
     for _ in range(50):
-        p, dp = _jacobi_poly_and_deriv(n, 0.0, beta, x)
+        p, dp = _jacobi_poly_and_deriv(n, beta_ld, recurrence, x)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < 1e-16:
             break
-    _, dp = _jacobi_poly_and_deriv(n, 0.0, beta, x)
+    _, dp = _jacobi_poly_and_deriv(n, beta_ld, recurrence, x)
     # with alpha = 0 the Gamma factors collapse: C = 2^(beta+1) exactly
     c = np.longdouble(2.0) ** np.longdouble(beta + 1.0)
     w = c / ((1.0 - x ** 2) * dp ** 2)
     return x, w
 
 
-_GJ_CACHE: dict = {}
-
-
+@functools.cache
 def _gj_rule(n: int, gamma: float):
     # weight s^(-gamma) on [0, 1]: map the (0, -gamma) Jacobi rule from [-1, 1]
-    key = (n, gamma)
-    if key not in _GJ_CACHE:
-        t, w = _gauss_jacobi(n, -gamma)
-        s = (1.0 + t) / 2.0
-        _GJ_CACHE[key] = (s, w * np.longdouble(2.0) ** (gamma - 1.0))
-    return _GJ_CACHE[key]
+    t, w = _gauss_jacobi(n, -gamma)
+    return (1.0 + t) / 2.0, w * np.longdouble(2.0) ** (gamma - 1.0)
 
 
 def _sides(a: float, b: float, x: np.ndarray):
@@ -351,16 +342,13 @@ class ManufacturedProblem:
     """Right-hand side and boundary data manufactured from an exact solution.
 
     fValues holds f(x) = u(x) K(x) - I(a, b, x) at the collocation nodes
-    (interior integer nodes for PLC; all 2N-1 nodes for PQC).
+    (interior integer nodes for PLC; all 2N-1 nodes for PQC) and boundary
+    the Dirichlet data (u(a), u(b)).
     """
 
-    u: TestFunction
-    grid: UniformGrid
-    params: KernelParams
     nodes: np.ndarray
     fValues: np.ndarray
     boundary: tuple
-    oracleTolerance: float = 1e-12
 
 
 def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
@@ -376,8 +364,7 @@ def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
     f = u(xs) * kernel_row_integral(grid.a, grid.b, params.gamma, xs) \
         - singular_integrals(u, (grid.a, grid.b), params, xs, tol)
     return ManufacturedProblem(
-        u=u, grid=grid, params=params, nodes=xs, fValues=f,
-        boundary=(float(u(grid.a)), float(u(grid.b))), oracleTolerance=tol)
+        nodes=xs, fValues=f, boundary=(float(u(grid.a)), float(u(grid.b))))
 
 
 # --- boundary basis integrals (adaptive-quadrature route) -------------------

@@ -7,7 +7,6 @@ renders the results as CSV or Markdown tables.
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from typing import Optional, Union
 
 import numpy as np
@@ -19,6 +18,9 @@ from .oracle import TestFunction, exact_nonlocal_rhs, exponential
 # Truncation entries below this magnitude sit at the double-precision
 # rounding floor; they are flagged and excluded from order estimation.
 FLOOR = 1e-12
+
+# Absolute tolerance of every oracle value a study takes.
+ORACLE_TOL = 1e-13
 
 # The one place a scheme name is mapped to its definition: the module that
 # provides weights(params, grid), structure(weights), nodes(grid),
@@ -33,19 +35,15 @@ EvalPoint = Union[str, float]
 @dataclass(frozen=True)
 class StudyConfig:
     scheme: str                        # 'plc' or 'pqc'
-    mode: str                          # 'truncation' or 'global'
     gamma: float
     levels: tuple
     interval: tuple = (0.0, 1.0)
     testFunction: TestFunction = field(default_factory=exponential)
     evalPoints: tuple = ("center",)
-    oracleTolerance: float = 1e-13
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.mode not in ("truncation", "global"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         KernelParams(self.gamma)  # range check
         if not self.levels:
             raise ValueError("levels must be a non-empty increasing list")
@@ -114,20 +112,15 @@ def _build_rows(levels, hs, errors):
 def _metadata(config: StudyConfig) -> dict:
     return {
         "scheme": config.scheme,
-        "mode": config.mode,
         "gamma": config.gamma,
         "interval": config.interval,
         "levels": tuple(config.levels),
         "function": config.testFunction.kind,
-        "oracleTolerance": config.oracleTolerance,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
 
 def run_truncation_study(config: StudyConfig) -> list:
     """One StudyReport per eval point: |I - I_k| at that point per level."""
-    if config.mode != "truncation":
-        raise ValueError("config.mode must be 'truncation'")
     a, b = config.interval
     params = KernelParams(config.gamma)
     u = config.testFunction
@@ -141,7 +134,7 @@ def run_truncation_study(config: StudyConfig) -> list:
         for pt in config.evalPoints:
             x = _resolve_point(pt, grid)
             per_point[pt].append(
-                scheme.truncation(params, grid, u, x, config.oracleTolerance))
+                scheme.truncation(params, grid, u, x, ORACLE_TOL))
 
     meta = _metadata(config)
     return [
@@ -154,8 +147,6 @@ def run_truncation_study(config: StudyConfig) -> list:
 def run_global_study(config: StudyConfig) -> StudyReport:
     """Manufacture f, assemble, solve; error is the max-norm over all
     interior collocation nodes (integer and half nodes for PQC)."""
-    if config.mode != "global":
-        raise ValueError("config.mode must be 'global'")
     a, b = config.interval
     params = KernelParams(config.gamma)
     u = config.testFunction
@@ -166,7 +157,7 @@ def run_global_study(config: StudyConfig) -> StudyReport:
         grid = UniformGrid(a, b, N)
         hs.append(grid.h)
         problem = exact_nonlocal_rhs(u, grid, params, nodes=config.scheme,
-                                     tol=config.oracleTolerance)
+                                     tol=ORACLE_TOL)
         system = scheme.assemble(params, grid, problem)
         uh = solver.solve_dense(system)
         errors.append(float(np.max(np.abs(uh - u(system.nodes)))))
@@ -175,10 +166,18 @@ def run_global_study(config: StudyConfig) -> StudyReport:
                        label="max-norm error", metadata=_metadata(config))
 
 
-# --- rendering and persistence ----------------------------------------------
+# --- rendering --------------------------------------------------------------
 
 def _fmt_error(row: StudyRow) -> str:
     return f"{row.error:.4e}"
+
+
+def _fmt_h_markdown(h: float) -> str:
+    """1/k when k*h = 1 to rounding, otherwise h as in the CSV."""
+    k = round(1.0 / h)
+    if math.isclose(k * h, 1.0, rel_tol=1e-12):
+        return f"1/{k}"
+    return f"{h:.10g}"
 
 
 def _fmt_order(row: StudyRow) -> str:
@@ -200,23 +199,8 @@ def emit_table(report: StudyReport, format: str = "csv") -> str:
                  "| --- | --- | --- | --- |"]
         for r in report.rows:
             err = _fmt_error(r) + (" (floor)" if r.floor else "")
-            lines.append(f"| {r.N} | 1/{round(1 / r.h) if r.h < 1 else r.h:g} "
-                         f"| {err} | {_fmt_order(r)} |")
+            lines.append(f"| {r.N} | {_fmt_h_markdown(r.h)} | {err} "
+                         f"| {_fmt_order(r)} |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {format!r}")
 
-
-def parse_table_csv(text: str) -> tuple:
-    """Inverse of emit_table(..., 'csv'): rows of (N, h, error, order)."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != "N,h,error,order":
-        raise ValueError("not a study table: bad header")
-    rows = []
-    for ln in lines[1:]:
-        n, h, e, o = ln.split(",")
-        rows.append((int(n), float(h), float(e), float(o) if o else None))
-    return tuple(rows)
-
-
-def report_filename(config: StudyConfig) -> str:
-    return f"{config.scheme}_{config.mode}_gamma{config.gamma:g}.csv"

@@ -59,11 +59,14 @@ class TestUsageErrors:
         ("coeffs", "--levels", "9000"),      # above coeffs.MAX_CELLS
         ("converge", "--levels", "16,24"),   # levels do not nest
         ("truncation", "--point", "x=2"),    # outside --interval 0,1
+        ("coeffs", "--interval", "0,inf"),
+        ("check", "--interval", "-inf,0"),
+        ("converge", "--interval", "nan,1"),
     ])
     def test_invalid_values_name_flag(self, capsys, command, flag, value):
         # a repeated flag overrides the earlier one
         status, _, err = run_cli(capsys, command, "--scheme", "plc", "--gamma",
-                                 "0.5", "--levels", "16", flag, value)
+                                 "0.5", "--levels", "16", f"{flag}={value}")
         assert status == 2
         assert flag in err
 

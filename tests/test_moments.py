@@ -79,14 +79,6 @@ def test_cell_integral_constant():
     assert got == pytest.approx(want, rel=1e-13)
 
 
-def test_cell_integral_custom_range():
-    nodes = np.array([0.0, 0.5, 1.0])
-    vals = nodes ** 2
-    got = moments.cell_integral(2.0, nodes, vals, 0.0, lo=0.25, hi=0.75)
-    want = (0.75 ** 3 - 0.25 ** 3) / 3.0
-    assert got == pytest.approx(want, rel=1e-13)
-
-
 # --- stacked cells against the cell-by-cell reference -----------------------
 # The reference below is the one-cell-at-a-time form of the primitives: the
 # stacked code must give the same bits, so the tables do not move.
@@ -118,11 +110,10 @@ def ref_poly_coeffs(x, ts, vs):
     return np.array([c0, c1, c2])
 
 
-def ref_cell_integral(x, nodes, values, gamma, lo=None, hi=None):
-    lo = nodes[0] if lo is None else lo
-    hi = nodes[-1] if hi is None else hi
+def ref_cell_integral(x, nodes, values, gamma):
     c = ref_poly_coeffs(x, nodes, values)
-    return float(c @ ref_segment_moments(x, lo, hi, gamma, len(c) - 1))
+    return float(c @ ref_segment_moments(x, nodes[0], nodes[-1], gamma,
+                                         len(c) - 1))
 
 
 def ref_interpolant_integral(scheme, grid, gamma, u, x):
@@ -180,18 +171,6 @@ def test_stacked_cell_integral_equals_row_by_row(npoints, gamma):
                   for n, v in zip(nodes, values)]
     want = [ref_cell_integral(x, n, v, gamma) for n, v in zip(nodes, values)]
     assert bits(stacked) == bits(one_by_one) == bits(want)
-    # custom ranges: left of, right of and straddling x, ending at x, and
-    # empty (hi <= lo)
-    lo = rng.choice([0.0, 0.1, 0.4, 0.5, 0.7], rows)
-    hi = rng.choice([0.05, 0.3, 0.4, 0.6, 0.9], rows)
-    assert np.any(hi <= lo)
-    stacked = moments.cell_integral(x, nodes, values, gamma, lo=lo, hi=hi)
-    one_by_one = [moments.cell_integral(x, n, v, gamma, lo=l, hi=h)
-                  for n, v, l, h in zip(nodes, values, lo, hi)]
-    want = [ref_cell_integral(x, n, v, gamma, l, h)
-            for n, v, l, h in zip(nodes, values, lo, hi)]
-    assert bits(stacked) == bits(one_by_one) == bits(want)
-    assert np.all(stacked[hi <= lo] == 0.0)
 
 
 @pytest.mark.parametrize("npoints", [2, 3])

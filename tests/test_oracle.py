@@ -270,6 +270,80 @@ def test_gauss_jacobi_weights_sum_to_weight_integral(gamma, rtol, n):
     assert abs(np.sum(w) * (1 - gamma) - 1) <= rtol
 
 
+# --- the general (alpha, beta) Jacobi recurrence, kept as the bitwise
+# reference: the oracle's rules carry alpha = 0 only, and every table CSV
+# rests on their bits.
+
+def _ref_recurrence(n, alpha, beta):
+    alpha, beta = np.longdouble(alpha), np.longdouble(beta)
+    k = np.arange(2, n + 1, dtype=np.longdouble)
+    s = 2.0 * k + alpha + beta
+    poly = (2.0 * k * (k + alpha + beta) * (s - 2.0),
+            (s - 1.0) * (alpha ** 2 - beta ** 2),
+            (s - 2.0) * (s - 1.0) * s,
+            2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s)
+    k = k[:-1]
+    s = 2.0 * k + alpha + beta + 2.0
+    deriv = (2.0 * k * (k + alpha + beta + 2.0) * (s - 2.0),
+             (s - 1.0) * ((alpha + 1.0) ** 2 - (beta + 1.0) ** 2),
+             (s - 2.0) * (s - 1.0) * s,
+             2.0 * (k + alpha) * (k + beta) * s)
+    return poly, deriv
+
+
+def _ref_jacobi_poly_and_deriv(n, alpha, beta, x):
+    poly, deriv = _ref_recurrence(n, alpha, beta)
+    alpha, beta = np.longdouble(alpha), np.longdouble(beta)
+    p_prev = np.ones_like(x)
+    p = 0.5 * (alpha + beta + 2.0) * x + 0.5 * (alpha - beta)
+    if n == 0:
+        p = p_prev
+    for a1, a2, a3, a4 in zip(*poly):
+        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
+    if n == 0:
+        return p, np.zeros_like(x)
+    d_prev = np.ones_like(x)
+    d = 0.5 * (alpha + beta + 4.0) * x + 0.5 * (alpha - beta)
+    if n - 1 == 0:
+        d = d_prev
+    for a1, a2, a3, a4 in zip(*deriv):
+        d, d_prev = ((a2 + a3 * x) * d - a4 * d_prev) / a1, d
+    return p, 0.5 * (n + alpha + beta + 1.0) * d
+
+
+def _ref_gj_rule(n, gamma):
+    from scipy.special import roots_jacobi
+
+    beta = -gamma
+    x = roots_jacobi(n, 0.0, beta)[0].astype(np.longdouble)
+    for _ in range(50):
+        p, dp = _ref_jacobi_poly_and_deriv(n, 0.0, beta, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-16:
+            break
+    _, dp = _ref_jacobi_poly_and_deriv(n, 0.0, beta, x)
+    c = np.longdouble(2.0) ** np.longdouble(beta + 1.0)
+    w = c / ((1.0 - x ** 2) * dp ** 2)
+    return (1.0 + x) / 2.0, w * np.longdouble(2.0) ** (gamma - 1.0)
+
+
+def _hi_lo(values):
+    # a long double's storage carries padding bytes, so compare its value as
+    # the float64 pair hi + lo
+    hi = values.astype(float)
+    lo = (values - hi.astype(np.longdouble)).astype(float)
+    return hi.tobytes() + lo.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64, 512])
+def test_gauss_jacobi_rule_bitwise_equals_general_recurrence(n, gamma):
+    got = oracle._gj_rule(n, gamma)
+    want = _ref_gj_rule(n, gamma)
+    assert [_hi_lo(v) for v in got] == [_hi_lo(v) for v in want]
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:

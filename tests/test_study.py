@@ -38,24 +38,24 @@ class TestFitOrders:
 class TestConfigValidation:
     def test_levels_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
-            StudyConfig("plc", "truncation", 0.5, (32, 16))
+            StudyConfig("plc", 0.5, (32, 16))
 
     def test_levels_must_nest(self):
         with pytest.raises(ValueError, match="multiple"):
-            StudyConfig("plc", "truncation", 0.5, (16, 24))
+            StudyConfig("plc", 0.5, (16, 24))
 
     def test_scheme_checked(self):
         with pytest.raises(ValueError, match="scheme"):
-            StudyConfig("spline", "truncation", 0.5, (16,))
+            StudyConfig("spline", 0.5, (16,))
 
     def test_gamma_checked(self):
         with pytest.raises(ValueError, match="gamma"):
-            StudyConfig("plc", "truncation", 1.0, (16,))
+            StudyConfig("plc", 1.0, (16,))
 
 
 class TestTruncationStudy:
     def test_moving_first_point_tracks_h(self):
-        config = StudyConfig("plc", "truncation", 0.4, (8, 16),
+        config = StudyConfig("plc", 0.4, (8, 16),
                              evalPoints=("first",))
         report = study.run_truncation_study(config)[0]
         # the error at x=h differs level to level; both entries present
@@ -64,22 +64,17 @@ class TestTruncationStudy:
         assert report.rows[0].error > report.rows[1].error > 0.0
 
     def test_one_report_per_point(self):
-        config = StudyConfig("plc", "truncation", 0.4, (8, 16),
+        config = StudyConfig("plc", 0.4, (8, 16),
                              evalPoints=("center", 0.3))
         reports = study.run_truncation_study(config)
         assert [r.label for r in reports] == ["x=center", "x=0.3"]
 
     def test_exact_function_floors(self):
-        config = StudyConfig("pqc", "truncation", 0.5, (8, 16),
+        config = StudyConfig("pqc", 0.5, (8, 16),
                              testFunction=monomial(2))
         report = study.run_truncation_study(config)[0]
         assert all(r.floor for r in report.rows)
         assert all(r.order is None for r in report.rows)
-
-    def test_mode_mismatch_rejected(self):
-        config = StudyConfig("plc", "global", 0.5, (8, 16))
-        with pytest.raises(ValueError, match="truncation"):
-            study.run_truncation_study(config)
 
     def test_builds_no_weight_table(self, monkeypatch):
         # |I - I_k| needs only the interpolant, never the collocation weights
@@ -99,7 +94,7 @@ class TestTruncationStudy:
             problem = exact_nonlocal_rhs(constant(), grid, params, nodes=scheme)
             with pytest.raises(AssertionError, match="weight table"):
                 definition.assemble(params, grid, problem)
-            config = StudyConfig(scheme, "truncation", 0.5, (8, 16),
+            config = StudyConfig(scheme, 0.5, (8, 16),
                                  evalPoints=("first", "center", 1.0 / 3.0))
             reports = study.run_truncation_study(config)
             assert [len(r.rows) for r in reports] == [2, 2, 2]
@@ -107,25 +102,40 @@ class TestTruncationStudy:
 
 class TestGlobalStudy:
     def test_constant_solution_reproduced(self):
-        config = StudyConfig("plc", "global", 0.5, (8, 16),
+        config = StudyConfig("plc", 0.5, (8, 16),
                              testFunction=constant(4.0))
         report = study.run_global_study(config)
         assert all(r.error <= 1e-10 for r in report.rows)
 
     def test_errors_decrease_for_exp(self):
-        config = StudyConfig("pqc", "global", 0.3, (4, 8, 16),
+        config = StudyConfig("pqc", 0.3, (4, 8, 16),
                              testFunction=exponential())
         report = study.run_global_study(config)
         errs = report.errors()
         assert np.all(errs[:-1] > errs[1:])
 
     def test_metadata_echoes_config(self):
-        config = StudyConfig("plc", "global", 0.2, (4, 8))
+        config = StudyConfig("plc", 0.2, (4, 8))
         report = study.run_global_study(config)
         assert report.metadata["scheme"] == "plc"
         assert report.metadata["gamma"] == 0.2
         assert report.metadata["levels"] == (4, 8)
-        assert "timestamp" in report.metadata
+        # the config and nothing else, so that identical runs compare equal
+        assert set(report.metadata) == {"scheme", "gamma", "interval",
+                                        "levels", "function"}
+
+
+class TestDeterminism:
+    # two identical runs must compare equal, metadata included
+    def test_global_study_repeats(self):
+        config = StudyConfig("pqc", 0.3, (4, 8))
+        assert study.run_global_study(config) == study.run_global_study(config)
+
+    def test_truncation_study_repeats(self):
+        config = StudyConfig("plc", 0.7, (8, 16),
+                             evalPoints=("first", "center"))
+        assert (study.run_truncation_study(config)
+                == study.run_truncation_study(config))
 
 
 def synthetic_report():
@@ -147,15 +157,20 @@ class TestEmission:
         assert text.startswith("| N | h |")
         assert "8.9488e-03" in text
 
-    def test_round_trip(self):
-        report = synthetic_report()
-        rows = study.parse_table_csv(study.emit_table(report, "csv"))
-        for parsed, row in zip(rows, report.rows):
-            assert parsed[0] == row.N
-            assert parsed[1] == pytest.approx(row.h)
-            assert parsed[2] == pytest.approx(row.error, rel=1e-4)
-            assert parsed[3] == (row.order if row.order is None
-                                 else pytest.approx(row.order, abs=1e-4))
+    @pytest.mark.parametrize("interval, want", [
+        ((0.0, 1.0), ["1/8", "1/16"]),
+        ((-1.0, 3.0), ["1/2", "1/4"]),
+        ((0.0, 3.0), ["0.375", "0.1875"]),
+        ((0.0, 10.0), ["1.25", "0.625"]),
+    ])
+    def test_markdown_h_column(self, interval, want):
+        # 1/k only where k*h = 1; the (0, 3) and (0, 10) rows once printed
+        # 1/3, 1/5 and 1/1.25, 1/2
+        rows = tuple(StudyRow(N, UniformGrid(*interval, N).h, 1e-3, None)
+                     for N in (8, 16))
+        report = StudyReport(rows=rows, label="max-norm error", metadata={})
+        text = study.emit_table(report, "markdown")
+        assert [ln.split(" | ")[1] for ln in text.splitlines()[2:]] == want
 
     def test_empty_report_rejected(self):
         empty = StudyReport(rows=(), label="", metadata={})
@@ -165,10 +180,6 @@ class TestEmission:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             study.emit_table(synthetic_report(), "latex")
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            study.parse_table_csv("a,b\n1,2\n")
 
 
 def test_scheme_interface_and_traced_names_resolve():
@@ -188,8 +199,3 @@ def test_scheme_interface_and_traced_names_resolve():
                          "truncation"):
             assert callable(getattr(definition, function)), \
                 f"{definition.__name__}.{function}"
-
-
-def test_report_filename():
-    config = StudyConfig("pqc", "global", 0.3, (16, 32))
-    assert study.report_filename(config) == "pqc_global_gamma0.3.csv"
