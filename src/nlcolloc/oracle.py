@@ -212,6 +212,65 @@ def _one_sided(u, x, L, gamma: float, sign, n: int):
     return (_side_scales(L, gamma) * sums).astype(float).reshape(shape)
 
 
+def _point_sides(u, a: float, b: float, gamma: float, xs: np.ndarray):
+    """Gauss-Jacobi levels at arbitrary points: sides(todo, n) gives the
+    n-point values of the left sides of the points xs[todo], then of their
+    right sides, from (points x nodes) long-double arrays.  The scales
+    L^(1-gamma) are taken once, for all levels."""
+    lengths, signs = _sides(a, b, xs)
+    points = np.concatenate([xs, xs]).astype(np.longdouble)
+    steps = (signs * lengths).astype(np.longdouble)
+    scales = _side_scales(lengths, gamma)
+
+    def sides(todo, n):
+        side = np.concatenate([todo, todo + xs.size])
+        sums = _rule_sums(u, points[side], steps[side], gamma, n)
+        return (scales[side] * sums).astype(float)
+
+    return sides
+
+
+def _lattice_sides(a: float, b: float, gamma: float, xs: np.ndarray,
+                   step: float):
+    """Gauss-Jacobi levels of e^y at the lattice xs = a + i*step,
+    i = 1..M-1, with M*step = b - a; sides(todo, n) as in _point_sides.
+
+    With the rule's nodes s_k and weights w_k, the left side of x_i is
+    L^(1-gamma) e^(x_i) sum_k w_k tau_k^i, tau_k = e^(-step*s_k), and the
+    right side R^(1-gamma) e^b sum_k w_k sigma_k^(M-i),
+    sigma_k = e^(-step*(1-s_k)), where L = x_i - a and R = b - x_i.  No
+    power exceeds 1, so nothing overflows on long intervals.  Each power sum
+    over j = q*B + r, B about sqrt(M), is one (B x n) @ (n x Q) product of
+    exponential tables: O(sqrt(M) n) exponentials instead of one per point
+    and node, all in float64.
+
+    The scales take L and R of the rounded nodes, not i*step: near an end
+    of a short interval the two differ by 1e-12 relative, which would put
+    the lattice at other points than the series.
+    """
+    lengths, _ = _sides(a, b, xs)
+    scales = lengths ** (1.0 - gamma)
+    left = scales[:xs.size] * np.exp(xs)
+    right = scales[xs.size:] * math.exp(b)
+    M = xs.size + 1
+    B = math.isqrt(M - 1) + 1
+    Q = -(-M // B)
+    low, high = np.arange(B) * -step, np.arange(Q) * (B * -step)
+
+    def power_sums(t, w):
+        # sum_k w_k e^(-j*step*t_k) for j = 0 .. Q*B - 1
+        return ((np.exp(np.outer(low, t)) * w)
+                @ np.exp(np.outer(t, high))).T.ravel()
+
+    def sides(todo, n):
+        s, w = (v.astype(float) for v in _gj_rule(n, gamma))
+        j = todo + 1
+        return np.concatenate([left[todo] * power_sums(s, w)[j],
+                               right[todo] * power_sums(1.0 - s, w)[M - j]])
+
+    return sides
+
+
 def singular_integrals(u: TestFunction, interval, params: KernelParams,
                        xs, tol: float = 1e-12) -> np.ndarray:
     """I(a, b, x) = int_a^b u(y) |x - y|^(-gamma) dy at every x of the 1-D
@@ -222,6 +281,14 @@ def singular_integrals(u: TestFunction, interval, params: KernelParams,
     kind is additionally cross-checked, point by point, against its series
     expansion.
     """
+    return _singular_integrals(u, interval, params, xs, tol)
+
+
+def _singular_integrals(u: TestFunction, interval, params: KernelParams,
+                        xs, tol: float, step=None) -> np.ndarray:
+    """singular_integrals, with the Gauss-Jacobi levels from _point_sides;
+    a step says that u is e^y and xs = a + i*step for i = 1..M-1, with
+    M*step = b - a, and takes the levels from _lattice_sides instead."""
     a, b = interval
     xs = np.asarray(xs, dtype=float)
     outside = ~((a < xs) & (xs < b))
@@ -230,35 +297,34 @@ def singular_integrals(u: TestFunction, interval, params: KernelParams,
     if tol < 1e-14:
         raise ValueError("tol below 1e-14 is not attainable in double precision")
     gamma = params.gamma
+    if step is None:
+        sides = _point_sides(u, a, b, gamma, xs)
+    else:
+        sides = _lattice_sides(a, b, gamma, xs, step)
 
-    # both sides of every point, left sides first: each level gathers the
-    # sides of its open points, so the scales L^(1-gamma) are taken once
-    lengths, signs = _sides(a, b, xs)
-    points = np.concatenate([xs, xs]).astype(np.longdouble)
-    steps = (signs * lengths).astype(np.longdouble)
-    scales = _side_scales(lengths, gamma)
-
-    def both_sides(todo, n):
-        side = np.concatenate([todo, todo + xs.size])
-        sums = _rule_sums(u, points[side], steps[side], gamma, n)
-        values = (scales[side] * sums).astype(float)
+    def level(todo, n):
+        values = sides(todo, n)
         return values[:todo.size] + values[todo.size:]
 
     values = np.empty(xs.size)
     todo = np.arange(xs.size)
     n = 4
-    prev = both_sides(todo, n)
+    prev = level(todo, n)
+    change = np.full(todo.size, np.inf)
     while todo.size:
         n *= 2
         if n > MAX_NODES_PER_SIDE:
             raise OracleError(
                 f"Gauss-Jacobi doubling did not converge below {tol} "
-                f"within {MAX_NODES_PER_SIDE} nodes per side")
-        cur = both_sides(todo, n)
+                f"within {MAX_NODES_PER_SIDE} nodes per side: at "
+                f"x={float(xs[todo[0]])!r} the last change was "
+                f"{float(change[0])!r}")
+        cur = level(todo, n)
+        change = np.abs(cur - prev)
         # the roundoff term keeps tiny tolerances attainable on O(1) integrals
-        done = np.abs(cur - prev) < tol / 4.0 + 2e-14 * np.abs(cur)
+        done = change < tol / 4.0 + 2e-14 * np.abs(cur)
         values[todo[done]] = cur[done]
-        todo, prev = todo[~done], cur[~done]
+        todo, prev, change = todo[~done], cur[~done], change[~done]
 
     if u.kind == "exp":
         # the series carries less roundoff than the quadrature weights, so
@@ -356,13 +422,14 @@ def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
                        tol: float = 1e-12) -> ManufacturedProblem:
     """Manufacture f for the nonlocal equation at the requested node set."""
     if nodes == "plc":
-        xs = grid.interior_nodes()
+        xs, step = grid.interior_nodes(), grid.h
     elif nodes == "pqc":
-        xs = grid.collocation_nodes_pqc()
+        xs, step = grid.collocation_nodes_pqc(), grid.h / 2.0
     else:
         raise ValueError(f"unknown node set {nodes!r}")
     f = u(xs) * kernel_row_integral(grid.a, grid.b, params.gamma, xs) \
-        - singular_integrals(u, (grid.a, grid.b), params, xs, tol)
+        - _singular_integrals(u, (grid.a, grid.b), params, xs, tol,
+                              step if u.kind == "exp" else None)
     return ManufacturedProblem(
         nodes=xs, fValues=f, boundary=(float(u(grid.a)), float(u(grid.b))))
 

@@ -157,7 +157,7 @@ class TestStudies:
     @pytest.mark.xfail(strict=True, reason=(
         "the oracle's left exponential series cancels on long intervals: on "
         "(0, 20) it is off by up to 8.6e-10 relative, so the absolute "
-        "Gauss-Jacobi-vs-series gate rejects every node (ROADMAP item 5)"))
+        "Gauss-Jacobi-vs-series gate rejects every node (ROADMAP item 2)"))
     def test_converge_on_long_interval(self, capsys):
         status, _, err = run_cli(capsys, "converge", "--scheme", "pqc",
                                  "--gamma", "0.3", "--levels", "16,32",

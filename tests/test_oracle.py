@@ -219,6 +219,71 @@ def test_singular_integral_bitwise_at_table_points(u):
                     assert got == want, (gamma, N, x, tol)
 
 
+# --- the lattice route of exact_nonlocal_rhs --------------------------------
+#
+# For e^y at the collocation lattice, the Gauss-Jacobi levels come from
+# power tables in float64; they only cross-check the series, whose value is
+# returned, so fValues must keep every bit of the arbitrary-point route.
+
+def _lattice(grid, nodes):
+    if nodes == "plc":
+        return grid.interior_nodes(), grid.h
+    return grid.collocation_nodes_pqc(), grid.h / 2.0
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 3.0), (0.0, 1e-3),
+                                      (0.0, 20.0)])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95, 0.99])
+def test_lattice_levels_match_long_double_route(gamma, interval):
+    a, b = interval
+    u = exponential()
+    for N in (2, 3, 64, 700, 4096):
+        for nodes in ("plc", "pqc"):
+            xs, step = _lattice(UniformGrid(a, b, N), nodes)
+            sides = oracle._lattice_sides(a, b, gamma, xs, step)
+            lengths = np.concatenate([xs - a, b - xs])
+            points = np.concatenate([xs, xs])
+            signs = np.repeat([-1.0, 1.0], xs.size)
+            for n in (4, 8, 16, 32):
+                want = (oracle._side_scales(lengths, gamma) * oracle._rule_sums(
+                    u, points, signs * lengths, gamma, n)).astype(float)
+                got = sides(np.arange(xs.size), n)
+                assert np.max(np.abs(got - want) / want) <= 5e-14, (N, nodes, n)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
+def test_lattice_rhs_bitwise_equals_point_route(gamma):
+    u, params = exponential(), KernelParams(gamma)
+    for interval in ((0.0, 1.0), (-1.0, 3.0), (0.0, 1e-3)):
+        for N in (2, 3, 64, 700, 4096):
+            grid = UniformGrid(*interval, N)
+            for nodes in ("plc", "pqc"):
+                xs, _ = _lattice(grid, nodes)
+                for tol in (1e-12, 1e-13):
+                    try:
+                        want = u(xs) * kernel_row_integral(*interval, gamma, xs) \
+                            - singular_integrals(u, interval, params, xs, tol)
+                    except OracleError:
+                        with pytest.raises(OracleError):
+                            exact_nonlocal_rhs(u, grid, params, nodes, tol)
+                        continue
+                    got = exact_nonlocal_rhs(u, grid, params, nodes, tol).fValues
+                    assert np.array_equal(got, want), (interval, N, nodes, tol)
+
+
+@pytest.mark.parametrize("nodes", ["plc", "pqc"])
+def test_only_the_exponential_takes_the_lattice_route(nodes, monkeypatch):
+    def no_long_double_sums(*args):
+        raise AssertionError("long-double rule sums called")
+
+    monkeypatch.setattr(oracle, "_rule_sums", no_long_double_sums)
+    grid, params = UniformGrid(-1.0, 3.0, 64), KernelParams(0.7)
+    exact_nonlocal_rhs(exponential(), grid, params, nodes)
+    for u in (constant(2.5), monomial(3)):
+        with pytest.raises(AssertionError, match="rule sums"):
+            exact_nonlocal_rhs(u, grid, params, nodes)
+
+
 class TestBatchedFailures:
     # On (0, 0.5) at gamma = 0.7, e^y converges at 8 nodes per side near the
     # centre and needs 16 near the ends.
@@ -230,7 +295,7 @@ class TestBatchedFailures:
         monkeypatch.setattr(oracle, "MAX_NODES_PER_SIDE", 8)
         singular_integrals(u, (0.0, 0.5), params, self.FAST)
         xs = np.insert(self.FAST, 17, self.SLOW)
-        with pytest.raises(OracleError, match="did not converge"):
+        with pytest.raises(OracleError, match=r"did not converge.*x=0\.49"):
             singular_integrals(u, (0.0, 0.5), params, xs)
 
     def test_one_series_disagreement_raises(self, monkeypatch):
