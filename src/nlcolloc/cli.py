@@ -3,15 +3,16 @@ truncation / global convergence studies.
 
 Commands: coeffs, check, truncation, converge.  All options may also be
 supplied through `--config <file>` holding newline-separated `key = value`
-pairs (same keys as the flags); explicit flags override the file.
+pairs (same keys as the flags).  Each line is read as the flag `--key=value`
+placed before the command line's, so it gets the same checks and explicit
+flags override it.
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 import argparse
-import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,39 +35,40 @@ class UsageError(Exception):
     """Invalid invocation; message names the offending flag."""
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    command: str
-    options: dict
-    outputPath: str
+def _flag_type(parse):
+    """An argparse type whose ValueError text becomes the flag's message."""
+    def convert(raw):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _parse_levels(raw: str, nested: bool) -> tuple:
-    try:
-        levels = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise UsageError(f"--levels: expected comma-separated integers, got {raw!r}")
+@_flag_type
+def _gamma(raw: str) -> float:
+    return KernelParams(float(raw)).gamma
+
+
+@_flag_type
+def _interval(raw: str) -> tuple:
+    ends = tuple(float(tok) for tok in raw.split(","))
+    if len(ends) != 2:
+        raise ValueError(f"expected 'a,b', got {raw!r}")
+    UniformGrid(*ends, 2)        # the grid's rule: finite endpoints, a < b
+    return ends
+
+
+@_flag_type
+def _levels(raw: str) -> tuple:
+    levels = tuple(int(tok) for tok in raw.split(",") if tok.strip())
     if not levels:
-        raise UsageError("--levels: empty list")
+        raise ValueError("empty list")
+    # the library would reject these only when it meets them, with exit 1
     if not all(2 <= N <= coeffs.MAX_CELLS for N in levels):
-        raise UsageError(
-            f"--levels: each level must lie in 2..{coeffs.MAX_CELLS}, got {raw!r}")
-    if nested and any(b <= a or b % a for a, b in zip(levels, levels[1:])):
-        raise UsageError(
-            f"--levels: levels must nest, each a larger multiple of the previous, got {raw!r}")
+        raise ValueError(
+            f"each level must lie in 2..{coeffs.MAX_CELLS}, got {raw!r}")
     return levels
-
-
-def _parse_interval(raw: str) -> tuple:
-    try:
-        a, b = (float(tok) for tok in raw.split(","))
-    except ValueError:
-        raise UsageError(f"--interval: expected 'a,b', got {raw!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise UsageError(f"--interval: endpoints must be finite, got {raw!r}")
-    if not a < b:
-        raise UsageError(f"--interval: need a < b, got {raw!r}")
-    return a, b
 
 
 def _parse_point(raw: str, interval: tuple):
@@ -84,8 +86,29 @@ def _parse_point(raw: str, interval: tuple):
     return x
 
 
-def _read_config(path: str) -> dict:
-    pairs = {}
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):            # exit 2 with a one-line message
+        raise UsageError(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="nlcolloc", description=__doc__)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--scheme", required=True, choices=tuple(study.SCHEMES))
+    parser.add_argument("--gamma", required=True, type=_gamma)
+    parser.add_argument("--interval", type=_interval, default="0,1")
+    parser.add_argument("--levels", required=True, type=_levels)
+    parser.add_argument("--function", choices=tuple(_FUNCTIONS), default="exp")
+    parser.add_argument("--point", default="center")
+    parser.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    parser.add_argument("--out")
+    parser.add_argument("--config")
+    return parser
+
+
+def _config_args(path: str, parser: _Parser) -> list:
+    """The `key = value` lines of a config file as `--key=value` arguments."""
+    args = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -96,21 +119,14 @@ def _read_config(path: str) -> dict:
                     raise UsageError(
                         f"--config: line {lineno} is not 'key = value': {line!r}")
                 key, _, value = line.partition("=")
-                pairs[key.strip()] = value.strip()
+                key = key.strip()
+                # exact option names only: no argparse prefix abbreviations
+                if key == "config" or f"--{key}" not in parser._option_string_actions:
+                    raise UsageError(f"--config: unknown key {key!r}")
+                args.append(f"--{key}={value.strip()}")
     except OSError as exc:
         raise UsageError(f"--config: cannot read {path!r}: {exc}")
-    return pairs
-
-
-_OPTION_KEYS = ("scheme", "gamma", "interval", "levels", "function",
-                "point", "format", "out")
-_DEFAULTS = {"interval": "0,1", "function": "exp", "point": "center",
-             "format": "csv", "out": None}
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):            # exit 2 with a one-line message
-        raise UsageError(message)
+    return args
 
 
 def _attach_negative_values(argv) -> list:
@@ -129,63 +145,22 @@ def _attach_negative_values(argv) -> list:
     return out
 
 
-def parse_args(argv) -> CliInvocation:
-    parser = _Parser(prog="nlcolloc", description=__doc__, add_help=True)
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--scheme", choices=tuple(study.SCHEMES))
-    parser.add_argument("--gamma")
-    parser.add_argument("--interval")
-    parser.add_argument("--levels")
-    parser.add_argument("--function", choices=tuple(_FUNCTIONS))
-    parser.add_argument("--point")
-    parser.add_argument("--format", choices=("csv", "markdown"))
-    parser.add_argument("--out")
-    parser.add_argument("--config")
-    args = parser.parse_args(_attach_negative_values(argv))
-
-    raw = {k: getattr(args, k) for k in _OPTION_KEYS}
-    if args.config:
-        for key, value in _read_config(args.config).items():
-            if key not in _OPTION_KEYS:
-                raise UsageError(f"--config: unknown key {key!r}")
-            if raw[key] is None:          # flags override the file
-                raw[key] = value
-    for key, value in _DEFAULTS.items():
-        if raw[key] is None:
-            raw[key] = value
-
-    if raw["scheme"] is None:
-        raise UsageError("--scheme is required (plc or pqc)")
-    if raw["scheme"] not in study.SCHEMES:
-        raise UsageError(f"--scheme: expected plc or pqc, got {raw['scheme']!r}")
-    if raw["gamma"] is None:
-        raise UsageError("--gamma is required")
-    try:
-        gamma = float(raw["gamma"])
-    except ValueError:
-        raise UsageError(f"--gamma: not a real number: {raw['gamma']!r}")
-    if not 0.0 <= gamma < 1.0:
-        raise UsageError(f"--gamma: must lie in [0, 1), got {gamma}")
-    if raw["levels"] is None:
-        raise UsageError("--levels is required")
-    if raw["function"] not in _FUNCTIONS:
-        raise UsageError(f"--function: unknown kind {raw['function']!r}")
-    if raw["format"] not in ("csv", "markdown"):
-        raise UsageError(f"--format: expected csv or markdown, got {raw['format']!r}")
-
-    interval = _parse_interval(raw["interval"])
-    options = {
-        "scheme": raw["scheme"],
-        "gamma": gamma,
-        "interval": interval,
-        "levels": _parse_levels(raw["levels"],
-                                nested=args.command in ("truncation", "converge")),
-        "function": raw["function"],
-        "point": _parse_point(raw["point"], interval),
-        "format": raw["format"],
-    }
-    return CliInvocation(command=args.command, options=options,
-                         outputPath=raw["out"])
+def parse_args(argv) -> argparse.Namespace:
+    """Parse the command line; config lines go first, so flags override them."""
+    argv = _attach_negative_values(argv)
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    parser = _build_parser()
+    args = parser.parse_args(
+        (_config_args(config, parser) if config else []) + argv)
+    levels = args.levels
+    if (args.command in ("truncation", "converge")
+            and any(b <= a or b % a for a, b in zip(levels, levels[1:]))):
+        raise UsageError(
+            f"--levels: levels must nest, each a larger multiple of the previous, got {levels}")
+    args.point = _parse_point(args.point, args.interval)
+    return args
 
 
 # --- command bodies ---------------------------------------------------------
@@ -195,14 +170,14 @@ _TABLE_NAMES = {"gammaB": "gamma", "dHalf": "d_half"}
 
 
 def _cmd_coeffs(opt) -> str:
-    params = KernelParams(opt["gamma"])
-    a, b = opt["interval"]
-    scheme = study.SCHEMES[opt["scheme"]]
+    params = KernelParams(opt.gamma)
+    a, b = opt.interval
+    scheme = study.SCHEMES[opt.scheme]
     out = []
-    for N in opt["levels"]:
+    for N in opt.levels:
         c = scheme.weights(params, UniformGrid(a, b, N))
         scale, *tables = (f.name for f in fields(c))   # scaling factor first
-        out.append(f"# scheme = {opt['scheme']}, gamma = {opt['gamma']:g}, N = {N}")
+        out.append(f"# scheme = {opt.scheme}, gamma = {opt.gamma:g}, N = {N}")
         out.append(f"{scale} = {getattr(c, scale):.17g}")
         for name in tables:
             out.append(f"[{_TABLE_NAMES.get(name, name)}]")
@@ -223,15 +198,15 @@ def _fmt_value(v) -> str:
 
 
 def _cmd_check(opt) -> str:
-    params = KernelParams(opt["gamma"])
-    a, b = opt["interval"]
-    scheme = study.SCHEMES[opt["scheme"]]
+    params = KernelParams(opt.gamma)
+    a, b = opt.interval
+    scheme = study.SCHEMES[opt.scheme]
     out = []
-    for N in opt["levels"]:
+    for N in opt.levels:
         grid = UniformGrid(a, b, N)
         op = scheme.structure(scheme.weights(params, grid))
         report = solver.check_structure(CollocationSystem(
-            operator=op, rhs=np.zeros(len(op.diag)), scheme=opt["scheme"],
+            operator=op, rhs=np.zeros(len(op.diag)), scheme=opt.scheme,
             nodes=scheme.nodes(grid)))
         out.append(f"N = {N}")
         for name, value in (
@@ -249,46 +224,48 @@ def _cmd_check(opt) -> str:
 
 def _cmd_truncation(opt) -> str:
     config = study.StudyConfig(
-        scheme=opt["scheme"], gamma=opt["gamma"], levels=opt["levels"],
-        interval=opt["interval"], testFunction=_FUNCTIONS[opt["function"]](),
-        evalPoints=(opt["point"],))
+        scheme=opt.scheme, gamma=opt.gamma, levels=opt.levels,
+        interval=opt.interval, testFunction=_FUNCTIONS[opt.function](),
+        evalPoints=(opt.point,))
     report = study.run_truncation_study(config)[0]
-    return study.emit_table(report, opt["format"])
+    return study.emit_table(report, opt.format)
 
 
 def _cmd_converge(opt) -> str:
     config = study.StudyConfig(
-        scheme=opt["scheme"], gamma=opt["gamma"], levels=opt["levels"],
-        interval=opt["interval"], testFunction=_FUNCTIONS[opt["function"]]())
+        scheme=opt.scheme, gamma=opt.gamma, levels=opt.levels,
+        interval=opt.interval, testFunction=_FUNCTIONS[opt.function]())
     report = study.run_global_study(config)
-    return study.emit_table(report, opt["format"])
+    return study.emit_table(report, opt.format)
 
 
 _BODIES = {"coeffs": _cmd_coeffs, "check": _cmd_check,
            "truncation": _cmd_truncation, "converge": _cmd_converge}
 
 
-def run(invocation: CliInvocation) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        text = _BODIES[invocation.command](invocation.options)
+        text = _BODIES[args.command](args)
     except (OracleError, SingularSystemError, FloatingPointError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)
-    if invocation.outputPath:
-        with open(invocation.outputPath, "w") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out: cannot write {args.out!r}: {exc}")
     return 0
 
 
 def main(argv=None) -> int:
     try:
-        invocation = parse_args(sys.argv[1:] if argv is None else argv)
+        return run(parse_args(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    return run(invocation)
 
 
 if __name__ == "__main__":

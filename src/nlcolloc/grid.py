@@ -1,6 +1,7 @@
 """Kernel parameters and uniform partitions of the computational interval."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class UniformGrid:
             raise ValueError(f"need finite a, b, got a={self.a}, b={self.b}")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
-        if self.N < 2:
-            raise ValueError(f"need N >= 2, got N={self.N}")
+        if not (isinstance(self.N, numbers.Integral) and self.N >= 2):
+            raise ValueError(f"need an integer N >= 2, got N={self.N}")
 
     @property
     def h(self) -> float:

@@ -9,6 +9,7 @@ monomial functions have closed forms.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,9 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in ("const", "monomial", "exp"):
             raise ValueError(f"unknown test function kind {self.kind!r}")
-        if self.kind == "monomial" and not 0 <= self.p <= 4:
-            raise ValueError("monomial power must lie in 0..4")
+        if self.kind == "monomial" and not (
+                isinstance(self.p, numbers.Integral) and 0 <= self.p <= 4):
+            raise ValueError(f"monomial power must be an integer in 0..4, got {self.p}")
 
     def __call__(self, y):
         # dtype-preserving, so extended-precision quadrature stays extended

@@ -62,11 +62,25 @@ class TestUsageErrors:
         ("coeffs", "--interval", "0,inf"),
         ("check", "--interval", "-inf,0"),
         ("converge", "--interval", "nan,1"),
+        ("converge", "--scheme", "fem"),
+        ("coeffs", "--format", "html"),
+        ("truncation", "--function", "sin"),
     ])
-    def test_invalid_values_name_flag(self, capsys, command, flag, value):
+    def test_invalid_values_name_flag(self, capsys, tmp_path, command, flag,
+                                      value):
+        valid = {"--scheme": "plc", "--gamma": "0.5", "--levels": "16"}
         # a repeated flag overrides the earlier one
-        status, _, err = run_cli(capsys, command, "--scheme", "plc", "--gamma",
-                                 "0.5", "--levels", "16", f"{flag}={value}")
+        argv = [tok for item in valid.items() for tok in item]
+        status, _, err = run_cli(capsys, command, *argv, f"{flag}={value}")
+        assert status == 2
+        assert flag in err
+        # the same value from a config line, with the flag left off
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag[2:]} = {value}\n")
+        argv = [tok for item in valid.items() if item[0] != flag
+                for tok in item]
+        status, _, err = run_cli(capsys, command, *argv, "--config",
+                                 str(config))
         assert status == 2
         assert flag in err
 
@@ -179,6 +193,15 @@ class TestDeterminismAndIo:
         status, out, _ = run_cli(capsys, *self.ARGS, "--out", str(target))
         assert status == 0
         assert target.read_text() == out
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.csv"
+        status, _, err = run_cli(capsys, "coeffs", "--scheme", "plc",
+                                 "--gamma", "0.5", "--levels", "2",
+                                 "--out", str(target))
+        assert status == 2
+        assert "--out" in err
+        assert "Traceback" not in err
 
     def test_config_file_equivalent_to_flags(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"

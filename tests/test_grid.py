@@ -1,5 +1,6 @@
-"""Uniform grids: endpoint validation."""
+"""Uniform grids: endpoint and cell-count validation."""
 
+import numpy as np
 import pytest
 
 from nlcolloc.grid import UniformGrid
@@ -10,3 +11,10 @@ from nlcolloc.grid import UniformGrid
 def test_bad_endpoints_rejected(a, b):
     with pytest.raises(ValueError, match="need"):
         UniformGrid(a, b, 4)
+
+
+def test_cell_count_must_be_an_integer():
+    # with N = 4.5 the nodes ran past b and the weights raised IndexError
+    with pytest.raises(ValueError, match="integer N"):
+        UniformGrid(0.0, 1.0, 4.5)
+    assert UniformGrid(0.0, 1.0, np.int64(8)).integer_nodes()[-1] == 1.0

@@ -39,6 +39,11 @@ class TestTestFunction:
         with pytest.raises(ValueError):
             monomial(5)
 
+    def test_monomial_power_must_be_an_integer(self):
+        # the closed forms and y ** p for y < 0 need an integer power
+        with pytest.raises(ValueError, match="integer"):
+            TestFunction("monomial", p=2.5)
+
     def test_evaluation(self):
         ys = np.array([0.0, 0.5, 1.0])
         assert np.allclose(constant(3.0)(ys), 3.0)
