@@ -29,7 +29,7 @@ import sys
 import time
 import tracemalloc
 
-from nlcolloc import oracle, plc, pqc, solver
+from nlcolloc import oracle, solver
 from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.study import SCHEMES
 
@@ -70,13 +70,9 @@ def truncation_stages(scheme, params, grid, x):
     """Wall time in seconds of the interpolant integral and of the oracle
     at x."""
     u = oracle.exponential()
-    int_samples = u(grid.integer_nodes())
-    half_samples = u(grid.half_nodes())
+    samples = u(SCHEMES[scheme].lattice(grid))
     t0 = time.perf_counter()
-    if scheme == "plc":
-        plc.interpolant_integral(params, grid, int_samples, x)
-    else:
-        pqc.interpolant_integral(params, grid, int_samples, half_samples, x)
+    SCHEMES[scheme].interpolant_integral(params, grid, samples, x)
     t1 = time.perf_counter()
     oracle.singular_integral(u, (grid.a, grid.b), params, x, tol=1e-13)
     return t1 - t0, time.perf_counter() - t1

@@ -13,8 +13,8 @@ from .oracle import (ManufacturedProblem, OracleError, TestFunction,
                      boundary_basis_integrals, closed_form_integral, constant,
                      exact_nonlocal_rhs, exponential, kernel_row_integral,
                      monomial, singular_integral, singular_integrals)
-from .plc import assemble_plc_system, plc_integral, truncation_error
-from .pqc import assemble_pqc_system, pqc_integral, pqc_truncation_at
+from .plc import assemble_plc_system, truncation_error
+from .pqc import assemble_pqc_system, pqc_truncation_at
 from .solver import (CollocationSystem, SingularSystemError, StructureReport,
                      check_structure, gershgorin_reference_bound,
                      min_eigenvalue, solve_dense)
@@ -32,8 +32,8 @@ __all__ = [
     "singular_integrals",
     "closed_form_integral", "kernel_row_integral", "exact_nonlocal_rhs",
     "boundary_basis_integrals",
-    "plc_integral", "assemble_plc_system", "truncation_error",
-    "pqc_integral", "assemble_pqc_system", "pqc_truncation_at",
+    "assemble_plc_system", "truncation_error",
+    "assemble_pqc_system", "pqc_truncation_at",
     "CollocationSystem", "StructureReport", "SingularSystemError",
     "solve_dense", "check_structure", "min_eigenvalue",
     "gershgorin_reference_bound",

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 import argparse
-import re
 import sys
 from dataclasses import fields
 
@@ -55,7 +54,6 @@ def _interval(raw: str) -> tuple:
     ends = tuple(float(tok) for tok in raw.split(","))
     if len(ends) != 2:
         raise ValueError(f"expected 'a,b', got {raw!r}")
-    UniformGrid(*ends, 2)        # the grid's rule: finite endpoints, a < b
     return ends
 
 
@@ -129,16 +127,19 @@ def _config_args(path: str, parser: _Parser) -> list:
     return args
 
 
-def _attach_negative_values(argv) -> list:
+def _attach_negative_values(argv, options) -> list:
     """Write `--flag -1,3` as `--flag=-1,3`.
 
     argparse reads a separate value that starts with '-' and is not a plain
-    number, such as the interval -1,3, as an unknown option.
+    number, such as the interval -1,3 or -inf,0, as an unknown option.  So
+    every single-dash token that is not itself an option (-h) is attached to
+    the flag before it.
     """
     out = []
     for tok in argv:
         if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and re.match(r"-\.?\d", tok)):
+                and tok.startswith("-") and not tok.startswith("--")
+                and tok not in options):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -147,11 +148,11 @@ def _attach_negative_values(argv) -> list:
 
 def parse_args(argv) -> argparse.Namespace:
     """Parse the command line; config lines go first, so flags override them."""
-    argv = _attach_negative_values(argv)
+    parser = _build_parser()
+    argv = _attach_negative_values(argv, parser._option_string_actions)
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv)[0].config
-    parser = _build_parser()
     args = parser.parse_args(
         (_config_args(config, parser) if config else []) + argv)
     levels = args.levels
@@ -159,6 +160,11 @@ def parse_args(argv) -> argparse.Namespace:
             and any(b <= a or b % a for a, b in zip(levels, levels[1:]))):
         raise UsageError(
             f"--levels: levels must nest, each a larger multiple of the previous, got {levels}")
+    for N in levels:
+        try:                     # the grid's rules: finite h, distinct nodes
+            UniformGrid(*args.interval, N)
+        except ValueError as exc:
+            raise UsageError(f"--interval: {exc}") from None
     args.point = _parse_point(args.point, args.interval)
     return args
 

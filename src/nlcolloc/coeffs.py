@@ -46,23 +46,7 @@ def _powers(top: int, gamma: float, exponents, halves: bool = False):
     return [z ** (e - g) for e in exponents]
 
 
-# --- piecewise linear weight functions -------------------------------------
-#
-# P2[j] = j^(2-gamma) and P1[j] = j^(1-gamma).
-
-def _plc_g(P2, k):
-    """g_k for integer k >= 0; g_0 = 2 (at k = 0, P2[k - 1] reads the last
-    entry, and the sum is discarded)."""
-    g = P2[k + 1] - 2 * P2[k] + P2[k - 1]
-    return np.where(k == 0, _LD(2), g).astype(np.float64)
-
-
-def plc_interior(k: np.ndarray, gamma: float) -> np.ndarray:
-    """Interior weights g_k; g_0 = 2."""
-    k = np.asarray(k)
-    P2, = _powers(int(k.max(initial=0)) + 1, gamma, (2,))
-    return _plc_g(P2, k)
-
+# --- piecewise linear weights ------------------------------------------------
 
 @dataclass(frozen=True)
 class PlcCoeffs:
@@ -78,12 +62,13 @@ def plc_weights(params: KernelParams, grid: UniformGrid) -> PlcCoeffs:
     _check(params, grid)
     gam, N = params.gamma, grid.N
     e = 2 - _LD(gam)
-    P2, P1 = _powers(N, gam, (2, 1))
-    i = np.arange(1, N)
+    P2, P1 = _powers(N, gam, (2, 1))      # j^(2-gamma), j^(1-gamma)
+    k, i = np.arange(N - 1), np.arange(1, N)
+    # g_0 = 2: at k = 0, P2[k - 1] reads the last entry and the sum is discarded
+    g = np.where(k == 0, _LD(2), P2[k + 1] - 2 * P2[k] + P2[k - 1])
     alpha = P2[i - 1] - P2[i] + e * P1[i]
     d = e * (P1[i] + P1[N - i])
-    return PlcCoeffs(sigma=sigma_scaling(grid.h, gam),
-                     g=_plc_g(P2, np.arange(N - 1)),
+    return PlcCoeffs(sigma=sigma_scaling(grid.h, gam), g=g.astype(np.float64),
                      alpha=alpha.astype(np.float64), d=d.astype(np.float64))
 
 
@@ -113,22 +98,17 @@ def _pqc_beta(H3, H2, H1, g, J):
 
 
 def _pqc_p0(H3, H2, H1, g):
-    """p_0 from the tables at 1/2 (J = 1) and 3/2 (J = 3); see pqc_p0."""
-    return (2 - g) * (1 - g) * 2 * (H3[3] + H3[1]) \
-        - 5 * (3 - g) * (1 - g) * (H2[3] - H2[1]) \
-        + 3 * (3 - g) * (2 - g) * (H1[3] - H1[1])
-
-
-def pqc_p0(gamma: float) -> float:
-    """Weight of u(x_1) at the collocation point x_{1/2}.
+    """p_0, the weight of u(x_1) at the collocation point x_{1/2}, from the
+    tables at 1/2 (J = 1) and 3/2 (J = 3).
 
     m(1/2) is undefined over the reals, and the singularity sits inside the
     support of the basis function, so this case needs its own closed form:
     the integral of 2(y-x_0)(y-x_{1/2})/h^2 over [x_0, x_1] split at x_{1/2}
     plus the integral of 2(y-x_2)(y-x_{3/2})/h^2 over [x_1, x_2].
     """
-    return float(_pqc_p0(*_powers(3, gamma, (3, 2, 1), halves=True),
-                         _LD(gamma)))
+    return (2 - g) * (1 - g) * 2 * (H3[3] + H3[1]) \
+        - 5 * (3 - g) * (1 - g) * (H2[3] - H2[1]) \
+        + 3 * (3 - g) * (2 - g) * (H1[3] - H1[1])
 
 
 @dataclass(frozen=True)

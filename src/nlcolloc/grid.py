@@ -37,6 +37,11 @@ class UniformGrid:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
         if not (isinstance(self.N, numbers.Integral) and self.N >= 2):
             raise ValueError(f"need an integer N >= 2, got N={self.N}")
+        # the nodes at step h/2 are the finest lattice any scheme uses
+        if not (math.isfinite(self.h) and np.all(np.diff(self.lattice(2)) > 0)):
+            raise ValueError(
+                f"need a finite h and distinct nodes at step h/2, got "
+                f"h={self.h} from a={self.a}, b={self.b}, N={self.N}")
 
     @property
     def h(self) -> float:
@@ -58,7 +63,7 @@ class UniformGrid:
         """x_1, ..., x_{N-1} (piecewise linear collocation points)."""
         return self.a + np.arange(1, self.N) * self.h
 
-    def collocation_nodes_pqc(self) -> np.ndarray:
-        """All 2N-1 interior collocation points x_{i/2}, i = 1..2N-1, in
-        increasing order."""
-        return self.a + np.arange(1, 2 * self.N) * (self.h / 2.0)
+    def lattice(self, p: int) -> np.ndarray:
+        """The pN + 1 points x_{j/p} = a + j (h/p), j = 0..pN: the integer
+        nodes for p = 1, the integer and half nodes interleaved for p = 2."""
+        return self.a + np.arange(p * self.N + 1) * (self.h / p)

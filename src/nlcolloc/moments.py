@@ -87,3 +87,21 @@ def cell_integral(x: float, cell_nodes: np.ndarray, cell_values: np.ndarray,
     # differently.
     values = np.matmul(c[..., None, :], mom[..., :, None])[..., 0, 0]
     return float(values) if values.ndim == 0 else values
+
+
+def piecewise_integral(x: float, points: np.ndarray, samples: np.ndarray,
+                       degree: int, gamma: float) -> float:
+    """int u_p(y) |x - y|^(-gamma) dy for the piecewise polynomial u_p of the
+    given degree p that interpolates samples at the lattice points.
+
+    Cell j spans the p + 1 points p*j .. p*j + p; all cells are integrated
+    in one cell_integral call and added left to right (np.sum adds
+    pairwise, which rounds differently).
+    """
+    # the lattice indices of each cell, one row per cell
+    cells = (degree * np.arange((len(points) - 1) // degree)[:, None]
+             + np.arange(degree + 1))
+    total = 0.0
+    for v in cell_integral(x, points[cells], samples[cells], gamma).tolist():
+        total += v
+    return total

@@ -423,12 +423,10 @@ def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
                        params: KernelParams, nodes: str = "plc",
                        tol: float = 1e-12) -> ManufacturedProblem:
     """Manufacture f for the nonlocal equation at the requested node set."""
-    if nodes == "plc":
-        xs, step = grid.interior_nodes(), grid.h
-    elif nodes == "pqc":
-        xs, step = grid.collocation_nodes_pqc(), grid.h / 2.0
-    else:
+    p = {"plc": 1, "pqc": 2}.get(nodes)      # the lattice step is h/p
+    if p is None:
         raise ValueError(f"unknown node set {nodes!r}")
+    xs, step = grid.lattice(p)[1:-1], grid.h / p
     f = u(xs) * kernel_row_integral(grid.a, grid.b, params.gamma, xs) \
         - _singular_integrals(u, (grid.a, grid.b), params, xs, tol,
                               step if u.kind == "exp" else None)

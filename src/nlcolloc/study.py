@@ -23,7 +23,9 @@ FLOOR = 1e-12
 ORACLE_TOL = 1e-13
 
 # The one place a scheme name is mapped to its definition: the module that
-# provides weights(params, grid), structure(weights), nodes(grid),
+# provides weights(params, grid), structure(weights), boundary(weights),
+# lattice(grid), nodes(grid), rule(weights, samples),
+# interpolant_integral(params, grid, samples, x),
 # assemble(params, grid, problem) and truncation(params, grid, u, x, tol).
 SCHEMES = {"plc": plc, "pqc": pqc}
 
@@ -70,9 +72,6 @@ class StudyReport:
 
     def errors(self) -> np.ndarray:
         return np.array([r.error for r in self.rows])
-
-    def orders(self) -> list:
-        return [r.order for r in self.rows]
 
 
 def fit_orders(hs, errors, floor=FLOOR):

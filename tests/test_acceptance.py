@@ -294,13 +294,13 @@ def test_criterion_6_exactness_suite():
             s = u(grid.integer_nodes())
             for i in (1, 8, 15):
                 want = closed_form_integral(u, (0.0, 1.0), params, grid.node(i))
-                assert abs(plc.plc_integral(cp, s, i) - want) <= 1e-12 * abs(want)
+                assert abs(plc.rule(cp, s)[i - 1] - want) <= 1e-12 * abs(want)
         for u in (constant(1.0), monomial(1), monomial(2)):
-            si, sh = u(grid.integer_nodes()), u(grid.half_nodes())
+            s = u(pqc.lattice(grid))
             for i in (1, 2, 16, 31):
                 want = closed_form_integral(u, (0.0, 1.0), params,
                                             grid.node(i / 2.0))
-                got = pqc.pqc_integral(cq, si, sh, i)
+                got = pqc.rule(cq, s)[i - 1]
                 assert abs(got - want) <= 1e-11 * abs(want)
         # both global solvers reproduce u == 1 at all nodes
         for scheme, definition in study.SCHEMES.items():

@@ -54,6 +54,32 @@ class TestUsageErrors:
         assert status == 2
         assert "--interval" in err
 
+    @pytest.mark.parametrize("command, argv", [
+        ("check", ("--scheme", "pqc", "--levels", "8",
+                   "--interval=-1e308,1e308")),
+        ("coeffs", ("--scheme", "pqc", "--levels", "8",
+                    "--interval=-1e308,1e308")),
+        ("converge", ("--scheme", "plc", "--levels", "8",
+                      "--interval=1,1.0000000000000004")),
+        # the nodes resolve at N = 2 but not at N = 8192
+        ("coeffs", ("--scheme", "plc", "--levels", "2,8192",
+                    "--interval=1,1.000000000001")),
+    ])
+    def test_unresolvable_grid_is_usage_error(self, capsys, command, argv):
+        status, out, err = run_cli(capsys, command, "--gamma", "0.5", *argv)
+        assert status == 2
+        assert "--interval" in err and "need" in err
+        assert out == ""
+
+    def test_separate_non_numeric_negative_value(self, capsys):
+        # -inf,0 as its own token reaches the grid's rule, not argparse's
+        # "expected one argument"
+        status, _, err = run_cli(capsys, "check", "--scheme", "plc",
+                                 "--gamma", "0.5", "--levels", "8",
+                                 "--interval", "-inf,0")
+        assert status == 2
+        assert "--interval: need finite a, b" in err
+
     @pytest.mark.parametrize("command, flag, value", [
         ("converge", "--levels", "1"),
         ("coeffs", "--levels", "9000"),      # above coeffs.MAX_CELLS

@@ -61,7 +61,7 @@ class TestGammaZeroIdentities:
 
 class TestSpecialValues:
     def test_plc_g0(self):
-        assert coeffs.plc_interior(np.array([0]), 0.42)[0] == 2.0
+        assert plc_tables(0.42, 8).g[0] == 2.0
 
     def test_pqc_m0(self):
         gam = 0.37
@@ -78,8 +78,8 @@ class TestSpecialValues:
             (2.0 - gam) * (1.0 - gam) * 2.0 ** (gam - 1.0))
 
     def test_pqc_p0_continuous_at_gamma_zero(self):
-        assert coeffs.pqc_p0(0.0) == pytest.approx(2.0, abs=1e-13)
-        assert coeffs.pqc_p0(1e-9) == pytest.approx(2.0, rel=1e-6)
+        assert pqc_tables(0.0, 2).p[0] == pytest.approx(2.0, abs=1e-13)
+        assert pqc_tables(1e-9, 2).p[0] == pytest.approx(2.0, rel=1e-6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,6 +285,6 @@ def test_pqc_tables_bitwise_equal_per_element_forms(gamma, N):
 @pytest.mark.parametrize("gamma", BITWISE_GAMMAS + [0.42, 1e-9])
 def test_single_closed_forms_bitwise_equal_per_element_forms(gamma):
     k = np.array([0, 1, 2, 7, 100])
-    assert coeffs.plc_interior(k, gamma).tobytes() == \
+    assert plc_tables(gamma, 102).g[k].tobytes() == \
         _ref_plc_interior(k, gamma).tobytes()
-    assert coeffs.pqc_p0(gamma) == _ref_pqc_p0(gamma)
+    assert pqc_tables(gamma, 2).p[0] == _ref_pqc_p0(gamma)

@@ -151,7 +151,7 @@ def test_interpolant_integral_bitwise_equals_cell_by_cell(scheme, gamma, N,
         got = [plc.interpolant_integral(params, grid, u(xs), x)
                for x in points]
     else:
-        got = [pqc.interpolant_integral(params, grid, u(xs), u(xh), x)
+        got = [pqc.interpolant_integral(params, grid, u(pqc.lattice(grid)), x)
                for x in points]
     want = [ref_interpolant_integral(scheme, grid, gamma, u, x)
             for x in points]

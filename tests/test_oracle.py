@@ -180,7 +180,7 @@ def _scalar_singular_integral(u, interval, params, x, tol=1e-12):
 
 
 def _scalar_rhs(u, grid, params, nodes, tol):
-    xs = grid.interior_nodes() if nodes == "plc" else grid.collocation_nodes_pqc()
+    xs = grid.interior_nodes() if nodes == "plc" else grid.lattice(2)[1:-1]
     interval = (grid.a, grid.b)
     return np.array([
         uv * _scalar_kernel_row_integral(grid.a, grid.b, params.gamma, x)
@@ -233,7 +233,7 @@ def test_singular_integral_bitwise_at_table_points(u):
 def _lattice(grid, nodes):
     if nodes == "plc":
         return grid.interior_nodes(), grid.h
-    return grid.collocation_nodes_pqc(), grid.h / 2.0
+    return grid.lattice(2)[1:-1], grid.h / 2.0
 
 
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 3.0), (0.0, 1e-3),

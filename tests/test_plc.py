@@ -23,12 +23,13 @@ class TestExactness:
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("u", [constant(2.5), monomial(1)])
     def test_weight_route(self, gamma, u):
-        params, grid, c = scheme_for(gamma, 16)
-        samples = u(grid.integer_nodes())
-        for i in (1, 7, 15):
-            want = closed_form_integral(u, (0.0, 1.0), params, grid.node(i))
-            got = plc.plc_integral(c, samples, i)
-            assert got == pytest.approx(want, rel=1e-12)
+        # at every row of the operator the solver uses
+        for N in (2, 3, 8, 64):
+            params, grid, c = scheme_for(gamma, N)
+            got = plc.rule(c, u(plc.lattice(grid)))
+            want = [closed_form_integral(u, (0.0, 1.0), params, x)
+                    for x in plc.nodes(grid)]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.6])
     @pytest.mark.parametrize("u", [constant(2.5), monomial(1)])
@@ -42,24 +43,21 @@ class TestExactness:
 
 
 def test_weight_and_moment_routes_agree_at_junctions():
-    params, grid, c = scheme_for(0.55, 32)
-    samples = np.exp(grid.integer_nodes())
-    for i in range(1, 32):
-        w = plc.plc_integral(c, samples, i)
-        m = plc.interpolant_integral(params, grid, samples, grid.node(i))
-        assert w == pytest.approx(m, rel=1e-13)
+    for gamma in (0.0, 0.55, 0.95):
+        for N in (2, 3, 32, 512):
+            params, grid, c = scheme_for(gamma, N)
+            samples = np.exp(plc.lattice(grid))
+            moment = [plc.interpolant_integral(params, grid, samples, x)
+                      for x in plc.nodes(grid)]
+            np.testing.assert_allclose(plc.rule(c, samples), moment,
+                                       rtol=1e-13, atol=0)
 
 
 class TestValidation:
     def test_sample_count(self):
         _, _, c = scheme_for(0.5, 8)
         with pytest.raises(ValueError, match="samples"):
-            plc.plc_integral(c, np.ones(8), 1)
-
-    def test_node_range(self):
-        _, _, c = scheme_for(0.5, 8)
-        with pytest.raises(IndexError):
-            plc.plc_integral(c, np.ones(9), 8)
+            plc.rule(c, np.ones(8))
 
     def test_eval_point_inside(self):
         params, grid, _ = scheme_for(0.5, 8)
@@ -126,15 +124,16 @@ class TestSystem:
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7])
     @pytest.mark.parametrize("N", [2, 3, 8, 64])
     def test_rows_match_single_row_evaluator(self, N, gamma):
-        # A = sigma (D - G), so with zero boundary values row i of
-        # sigma d s - A s is the evaluator's sigma (G s)_i
+        # the rule from the operator's FFT product equals the weight tables
+        # read one row at a time: sigma (sum_j g_|i-j| u_j + alpha_i u_0
+        # + alpha_{N-i} u_N)
         _, _, c = scheme_for(gamma, N)
-        samples = np.zeros(N + 1)
-        samples[1:N] = np.random.default_rng(N).uniform(1.0, 2.0, N - 1)
-        s = samples[1:N]
-        want = c.sigma * c.d * s - plc.structure(c).dense() @ s
-        got = [plc.plc_integral(c, samples, i) for i in range(1, N)]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        samples = np.random.default_rng(N).uniform(1.0, 2.0, N + 1)
+        j = np.arange(1, N)
+        want = c.sigma * (c.g[np.abs(j[:, None] - j)] @ samples[1:N]
+                          + c.alpha * samples[0] + c.alpha[::-1] * samples[N])
+        np.testing.assert_allclose(plc.rule(c, samples), want, rtol=1e-12,
+                                   atol=0)
 
     def test_rhs_length_validated(self):
         params, grid = KernelParams(0.5), UniformGrid(0.0, 1.0, 8)

@@ -18,54 +18,47 @@ def scheme_for(gamma, N, a=0.0, b=1.0):
     return params, grid, pqc.weights(params, grid)
 
 
-def samples_of(u, grid):
-    return u(grid.integer_nodes()), u(grid.half_nodes())
-
-
 class TestExactness:
     """The rule integrates its interpolation space {1, y, y^2} exactly."""
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("u", [constant(1.5), monomial(1), monomial(2)])
     def test_weight_route_all_rows(self, gamma, u):
-        params, grid, c = scheme_for(gamma, 8)
-        si, sh = samples_of(u, grid)
-        for i in range(1, 16):
-            want = closed_form_integral(u, (0.0, 1.0), params,
-                                        grid.node(i / 2.0))
-            got = pqc.pqc_integral(c, si, sh, i)
-            assert got == pytest.approx(want, rel=1e-11)
+        # at every row of the operator the solver uses
+        for N in (2, 3, 8, 64):
+            params, grid, c = scheme_for(gamma, N)
+            got = pqc.rule(c, u(pqc.lattice(grid)))
+            want = [closed_form_integral(u, (0.0, 1.0), params, x)
+                    for x in pqc.lattice(grid)[1:-1]]
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.6])
     @pytest.mark.parametrize("u", [monomial(2)])
     def test_moment_route_at_arbitrary_x(self, gamma, u):
         params, grid, _ = scheme_for(gamma, 8)
-        si, sh = samples_of(u, grid)
+        samples = u(pqc.lattice(grid))
         for x in (1.0 / 3.0, 0.07, 0.93):
             want = closed_form_integral(u, (0.0, 1.0), params, x)
-            got = pqc.interpolant_integral(params, grid, si, sh, x)
+            got = pqc.interpolant_integral(params, grid, samples, x)
             assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_weight_and_moment_routes_agree_at_all_rows():
-    params, grid, c = scheme_for(0.7, 16)
-    si, sh = samples_of(exponential(), grid)
-    for i in range(1, 32):
-        w = pqc.pqc_integral(c, si, sh, i)
-        m = pqc.interpolant_integral(params, grid, si, sh, i / 32.0)
-        assert w == pytest.approx(m, rel=1e-12)
+    for gamma in (0.0, 0.7, 0.95):
+        for N in (2, 3, 16, 512):
+            params, grid, c = scheme_for(gamma, N)
+            samples = exponential()(pqc.lattice(grid))
+            moment = [pqc.interpolant_integral(params, grid, samples, x)
+                      for x in pqc.lattice(grid)[1:-1]]
+            np.testing.assert_allclose(pqc.rule(c, samples), moment,
+                                       rtol=1e-12, atol=0)
 
 
 class TestValidation:
     def test_sample_counts(self):
         _, _, c = scheme_for(0.5, 8)
-        with pytest.raises(ValueError, match="lengths"):
-            pqc.pqc_integral(c, np.ones(8), np.ones(8), 1)
-
-    def test_row_range(self):
-        _, _, c = scheme_for(0.5, 8)
-        with pytest.raises(IndexError):
-            pqc.pqc_integral(c, np.ones(9), np.ones(8), 16)
+        with pytest.raises(ValueError, match="samples"):
+            pqc.rule(c, np.ones(9))
 
 
 class TestTruncation:
@@ -129,18 +122,20 @@ class TestSystem:
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7])
     @pytest.mark.parametrize("N", [2, 3, 8, 64])
     def test_rows_match_single_row_evaluator(self, N, gamma):
-        # rows in paper order: x_1 .. x_{N-1} (doubled index 2r), then
-        # x_{1/2} .. x_{N-1/2} (doubled index 2s + 1); zero boundary values
+        # the rule from the FFT product equals the dense rows plus the
+        # boundary columns; rows in paper order: x_1 .. x_{N-1} (doubled
+        # index 2r), then x_{1/2} .. x_{N-1/2} (doubled index 2s + 1)
         _, _, c = scheme_for(gamma, N)
-        rng = np.random.default_rng(N)
-        si = np.zeros(N + 1)
-        si[1:N] = rng.uniform(1.0, 2.0, N - 1)
-        sh = rng.uniform(1.0, 2.0, N)
-        s = np.concatenate([si[1:N], sh])
+        samples = np.random.default_rng(N).uniform(1.0, 2.0, 2 * N + 1)
+        u0, uN = samples[0], samples[-1]
+        s = np.concatenate([samples[2:-1:2], samples[1::2]])
         d = np.concatenate([c.dHalf[1::2], c.dHalf[0::2]])
-        want = c.eta * d * s - pqc.structure(c).dense() @ s
+        want = c.eta * np.concatenate([
+            d[:N - 1] * s[:N - 1] + c.beta * u0 + c.beta[::-1] * uN,
+            d[N - 1:] * s[N - 1:] + c.gammaB * u0 + c.gammaB[::-1] * uN,
+        ]) - pqc.structure(c).dense() @ s
         rows = list(range(2, 2 * N, 2)) + list(range(1, 2 * N, 2))
-        got = [pqc.pqc_integral(c, si, sh, i) for i in rows]
+        got = pqc.rule(c, samples)[np.array(rows) - 1]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_rhs_length_validated(self):

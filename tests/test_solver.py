@@ -82,10 +82,17 @@ def _old_plc_operator(c):
 
 def _old_pqc_operator(c):
     """The PQC matrix as it was built before the Toeplitz description: every
-    block from the index maps applied to full columns of row indices."""
+    block from the index maps applied to full columns of row indices.
+
+    Half-integer subscripts are doubled, so a weight's offset k = row - col
+    (x_r or x_{s + 1/2} against u_j or u_{jh + 1/2}) indexes m and n by |k|,
+    q by (|2k - 1| - 1) / 2 and p by (|2k + 1| - 1) / 2."""
     N = len(c.n)
-    M, Q = pqc._integer_rows(c, np.arange(1, N)[:, None])
-    P, Nb = pqc._half_rows(c, np.arange(N)[:, None])
+    rows, half_rows = np.arange(1, N)[:, None], np.arange(N)[:, None]
+    k, kh = rows - np.arange(1, N), rows - np.arange(N)
+    M, Q = c.m[np.abs(k)], c.q[(np.abs(2 * kh - 1) - 1) // 2]
+    k, kh = half_rows - np.arange(1, N), half_rows - np.arange(N)
+    P, Nb = c.p[(np.abs(2 * k + 1) - 1) // 2], c.n[np.abs(kh)]
     A = np.zeros((2 * N - 1, 2 * N - 1))
     A[:N - 1, :N - 1] = np.diag(c.dHalf[1::2]) - M
     A[:N - 1, N - 1:] = -Q

@@ -195,7 +195,8 @@ def test_scheme_interface_and_traced_names_resolve():
         assert callable(getattr(getattr(nlcolloc, module), function)), \
             f"nlcolloc.{module}.{function}"
     for definition in study.SCHEMES.values():
-        for function in ("weights", "structure", "nodes", "assemble",
+        for function in ("weights", "structure", "boundary", "lattice",
+                         "nodes", "rule", "interpolant_integral", "assemble",
                          "truncation"):
             assert callable(getattr(definition, function)), \
                 f"{definition.__name__}.{function}"
