@@ -155,17 +155,21 @@ def parse_args(argv) -> argparse.Namespace:
     config = pre.parse_known_args(argv)[0].config
     args = parser.parse_args(
         (_config_args(config, parser) if config else []) + argv)
-    levels = args.levels
-    if (args.command in ("truncation", "converge")
-            and any(b <= a or b % a for a, b in zip(levels, levels[1:]))):
-        raise UsageError(
-            f"--levels: levels must nest, each a larger multiple of the previous, got {levels}")
-    for N in levels:
+    for N in args.levels:
         try:                     # the grid's rules: finite h, distinct nodes
             UniformGrid(*args.interval, N)
         except ValueError as exc:
             raise UsageError(f"--interval: {exc}") from None
     args.point = _parse_point(args.point, args.interval)
+    if args.command in ("truncation", "converge"):
+        try:                     # the study's rules: the levels must nest
+            args.study = study.StudyConfig(
+                scheme=args.scheme, gamma=args.gamma, levels=args.levels,
+                interval=args.interval,
+                testFunction=_FUNCTIONS[args.function](),
+                evalPoints=(args.point,))
+        except ValueError as exc:
+            raise UsageError(f"--levels: {exc}, got {args.levels}") from None
     return args
 
 
@@ -212,8 +216,7 @@ def _cmd_check(opt) -> str:
         grid = UniformGrid(a, b, N)
         op = scheme.structure(scheme.weights(params, grid))
         report = solver.check_structure(CollocationSystem(
-            operator=op, rhs=np.zeros(len(op.diag)), scheme=opt.scheme,
-            nodes=scheme.nodes(grid)))
+            operator=op, rhs=np.zeros(len(op.diag)), nodes=scheme.nodes(grid)))
         out.append(f"N = {N}")
         for name, value in (
                 ("diagPositive", report.diagPositive),
@@ -229,20 +232,12 @@ def _cmd_check(opt) -> str:
 
 
 def _cmd_truncation(opt) -> str:
-    config = study.StudyConfig(
-        scheme=opt.scheme, gamma=opt.gamma, levels=opt.levels,
-        interval=opt.interval, testFunction=_FUNCTIONS[opt.function](),
-        evalPoints=(opt.point,))
-    report = study.run_truncation_study(config)[0]
+    report = study.run_truncation_study(opt.study)[0]
     return study.emit_table(report, opt.format)
 
 
 def _cmd_converge(opt) -> str:
-    config = study.StudyConfig(
-        scheme=opt.scheme, gamma=opt.gamma, levels=opt.levels,
-        interval=opt.interval, testFunction=_FUNCTIONS[opt.function]())
-    report = study.run_global_study(config)
-    return study.emit_table(report, opt.format)
+    return study.emit_table(study.run_global_study(opt.study), opt.format)
 
 
 _BODIES = {"coeffs": _cmd_coeffs, "check": _cmd_check,

@@ -24,7 +24,7 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """Partition of [a, b] into N equal cells with integer and half nodes."""
+    """Partition of [a, b] into N equal cells; lattice(p) lists its nodes."""
 
     a: float
     b: float
@@ -46,22 +46,6 @@ class UniformGrid:
     @property
     def h(self) -> float:
         return (self.b - self.a) / self.N
-
-    def node(self, i: float) -> float:
-        """Node x_i; i may be half-integer."""
-        return self.a + i * self.h
-
-    def integer_nodes(self) -> np.ndarray:
-        """x_0, x_1, ..., x_N."""
-        return self.a + np.arange(self.N + 1) * self.h
-
-    def half_nodes(self) -> np.ndarray:
-        """x_{1/2}, x_{3/2}, ..., x_{N-1/2}."""
-        return self.a + (np.arange(self.N) + 0.5) * self.h
-
-    def interior_nodes(self) -> np.ndarray:
-        """x_1, ..., x_{N-1} (piecewise linear collocation points)."""
-        return self.a + np.arange(1, self.N) * self.h
 
     def lattice(self, p: int) -> np.ndarray:
         """The pN + 1 points x_{j/p} = a + j (h/p), j = 0..pN: the integer

@@ -200,20 +200,6 @@ def _rule_sums(u, x, step, gamma: float, n: int):
     return acc
 
 
-def _one_sided(u, x, L, gamma: float, sign, n: int):
-    """int_0^L u(x + sign*t) t^(-gamma) dt for each x, L > 0 and sign = +-1
-    (floats, or arrays of one shape).
-
-    Uses int_0^L u(x + sign*t) t^(-gamma) dt
-    == L^(1-gamma) int_0^1 u(x + sign*L*s) s^(-gamma) ds with the n-point
-    rule.
-    """
-    shape = np.shape(x)
-    x, L = np.ravel(x), np.ravel(L)
-    sums = _rule_sums(u, x, sign * L, gamma, n)
-    return (_side_scales(L, gamma) * sums).astype(float).reshape(shape)
-
-
 def _point_sides(u, a: float, b: float, gamma: float, xs: np.ndarray):
     """Gauss-Jacobi levels at arbitrary points: sides(todo, n) gives the
     n-point values of the left sides of the points xs[todo], then of their
@@ -250,10 +236,15 @@ def _lattice_sides(a: float, b: float, gamma: float, xs: np.ndarray,
     of a short interval the two differ by 1e-12 relative, which would put
     the lattice at other points than the series.
     """
+    try:
+        exp_b = math.exp(b)
+    except OverflowError:
+        raise OracleError(f"e^y overflows float64 at y={b!r}") from None
     lengths, _ = _sides(a, b, xs)
     scales = lengths ** (1.0 - gamma)
-    left = scales[:xs.size] * np.exp(xs)
-    right = scales[xs.size:] * math.exp(b)
+    with np.errstate(over="ignore"):          # an infinite side fails its level
+        left = scales[:xs.size] * np.exp(xs)
+        right = scales[xs.size:] * exp_b
     M = xs.size + 1
     B = math.isqrt(M - 1) + 1
     Q = -(-M // B)
@@ -305,8 +296,15 @@ def _singular_integrals(u: TestFunction, interval, params: KernelParams,
         sides = _lattice_sides(a, b, gamma, xs, step)
 
     def level(todo, n):
-        values = sides(todo, n)
-        return values[:todo.size] + values[todo.size:]
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            values = sides(todo, n)
+            values = values[:todo.size] + values[todo.size:]
+        nonfinite = ~np.isfinite(values)
+        if nonfinite.any():
+            raise OracleError(
+                f"the {n}-node Gauss-Jacobi estimate at "
+                f"x={float(xs[todo[nonfinite][0]])!r} is not finite")
+        return values
 
     values = np.empty(xs.size)
     todo = np.arange(xs.size)
@@ -409,12 +407,10 @@ def closed_form_integral(u: TestFunction, interval, params: KernelParams,
 class ManufacturedProblem:
     """Right-hand side and boundary data manufactured from an exact solution.
 
-    fValues holds f(x) = u(x) K(x) - I(a, b, x) at the collocation nodes
-    (interior integer nodes for PLC; all 2N-1 nodes for PQC) and boundary
-    the Dirichlet data (u(a), u(b)).
+    fValues holds f(x) = u(x) K(x) - I(a, b, x) at grid.lattice(p)[1:-1]
+    (p = 1 for PLC, 2 for PQC) and boundary the Dirichlet data (u(a), u(b)).
     """
 
-    nodes: np.ndarray
     fValues: np.ndarray
     boundary: tuple
 
@@ -427,11 +423,13 @@ def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
     if p is None:
         raise ValueError(f"unknown node set {nodes!r}")
     xs, step = grid.lattice(p)[1:-1], grid.h / p
+    # the integral first: where e^y overflows it raises before u(xs) warns
+    integral = _singular_integrals(u, (grid.a, grid.b), params, xs, tol,
+                                   step if u.kind == "exp" else None)
     f = u(xs) * kernel_row_integral(grid.a, grid.b, params.gamma, xs) \
-        - _singular_integrals(u, (grid.a, grid.b), params, xs, tol,
-                              step if u.kind == "exp" else None)
+        - integral
     return ManufacturedProblem(
-        nodes=xs, fValues=f, boundary=(float(u(grid.a)), float(u(grid.b))))
+        fValues=f, boundary=(float(u(grid.a)), float(u(grid.b))))
 
 
 # --- boundary basis integrals (adaptive-quadrature route) -------------------

@@ -88,8 +88,9 @@ def pqc_truncation_at(params: KernelParams, grid: UniformGrid,
 
     x may be a collocation node (junction) or any interior point.
     """
-    approx = interpolant_integral(params, grid, u(lattice(grid)), x)
+    # the oracle first: where u overflows it raises before the samples warn
     exact = singular_integral(u, (grid.a, grid.b), params, x, tol)
+    approx = interpolant_integral(params, grid, u(lattice(grid)), x)
     return abs(exact - approx)
 
 
@@ -110,8 +111,7 @@ def assemble_pqc_system(params: KernelParams, grid: UniformGrid,
     c = weights(params, grid)
     op, (left, right), (u0, uN) = structure(c), boundary(c), problem.boundary
     rhs = problem.fValues[_paper_order(n)] + op.scale * (left * u0 + right * uN)
-    return CollocationSystem(operator=op, rhs=rhs, scheme="pqc",
-                             nodes=nodes(grid))
+    return CollocationSystem(operator=op, rhs=rhs, nodes=nodes(grid))
 
 
 assemble = assemble_pqc_system

@@ -130,7 +130,6 @@ class CollocationSystem:
 
     operator: ToeplitzStructure
     rhs: np.ndarray
-    scheme: str              # 'plc' or 'pqc'
     nodes: np.ndarray
 
     @cached_property
@@ -149,7 +148,7 @@ class StructureReport:
     rowSums: np.ndarray          # signed row sums of the scaled matrix
     minRowSlack: float           # min_i (a_ii - sum_{j != i} |a_ij|)
     symmetric: bool
-    spdFactorizationOk: Optional[bool]  # PLC only
+    spdFactorizationOk: Optional[bool]  # None unless symmetric
 
 
 def solve_dense(system: CollocationSystem) -> np.ndarray:
@@ -307,10 +306,11 @@ def check_structure(system: CollocationSystem) -> StructureReport:
     off the diagonal.  Block (p, q) mirrors block (q, p) when its first
     column equals the first row of (q, p); each diagonal block mirrors
     itself.  Row sums and slack are windows of compensated prefix sums.
-    For PLC, spdFactorizationOk comes from Gershgorin when A is symmetric
-    with a positive diagonal and every row dominant by more than n times the
-    symmetry tolerance (so the triangle Cholesky reads is too), otherwise
-    from a Cholesky factorization of system.matrix.
+    The SPD question is asked only of a symmetric A, since Cholesky reads
+    one triangle: spdFactorizationOk comes from Gershgorin when A has a
+    positive diagonal and every row dominant by more than n times the
+    symmetry tolerance, otherwise from a Cholesky factorization of
+    system.matrix.  A nonsymmetric A gets None.
     """
     op = system.operator
     n, scale = len(op.diag), op.scale
@@ -343,8 +343,8 @@ def check_structure(system: CollocationSystem) -> StructureReport:
     diag_positive = bool(np.all(diagonal > 0.0))
     min_slack = float(np.min(np.concatenate(slack)))
     spd_ok = None
-    if system.scheme == "plc":
-        if symmetric and diag_positive and min_slack > n * atol:
+    if symmetric:
+        if diag_positive and min_slack > n * atol:
             spd_ok = True
         else:
             try:

@@ -70,9 +70,6 @@ class StudyReport:
     label: str                 # which eval point / error the rows describe
     metadata: dict
 
-    def errors(self) -> np.ndarray:
-        return np.array([r.error for r in self.rows])
-
 
 def fit_orders(hs, errors, floor=FLOOR):
     """order[k] = log(err[k-1]/err[k]) / log(h[k-1]/h[k]); first entry None.

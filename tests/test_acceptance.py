@@ -258,8 +258,8 @@ def test_criterion_5_structural_suite():
             # boundary-integral lower bounds at every collocation point
             if gamma > 0.0:
                 h = grid.h
-                xi = grid.interior_nodes()
-                xh = grid.half_nodes()
+                xi = grid.lattice(1)[1:-1]
+                xh = grid.lattice(2)[1::2]
                 lo = (1.0 - gamma) * h / 6.0
                 assert np.all(cq.eta * cq.beta
                               >= lo * (xi - grid.a) ** -gamma * (1 - 1e-12))
@@ -276,8 +276,9 @@ def test_criterion_5_structural_suite():
         grid = UniformGrid(0.0, 1.0, 16)
         B = pqc.structure(pqc.weights(params, grid)).dense()
         slack = np.diag(B) - np.sum(np.abs(B - np.diag(np.diag(B))), axis=1)
-        for row, x in ((0, grid.node(1)), (14, grid.node(15)),
-                       (15, grid.node(0.5)), (30, grid.node(15.5))):
+        nodes = grid.lattice(2)
+        for row, x in ((0, nodes[2]), (14, nodes[30]), (15, nodes[1]),
+                       (30, nodes[31])):
             i0, iN = boundary_basis_integrals(grid, params, x, "pqc")
             assert abs(slack[row] - (i0 + iN)) <= 1e-9 * (i0 + iN)
     _report(5, "structural suite (M-matrix, dominance, Gershgorin, "
@@ -291,15 +292,16 @@ def test_criterion_6_exactness_suite():
         cp = plc.weights(params, grid)
         cq = pqc.weights(params, grid)
         for u in (constant(1.0), monomial(1)):
-            s = u(grid.integer_nodes())
+            s = u(plc.lattice(grid))
             for i in (1, 8, 15):
-                want = closed_form_integral(u, (0.0, 1.0), params, grid.node(i))
+                want = closed_form_integral(u, (0.0, 1.0), params,
+                                            plc.lattice(grid)[i])
                 assert abs(plc.rule(cp, s)[i - 1] - want) <= 1e-12 * abs(want)
         for u in (constant(1.0), monomial(1), monomial(2)):
             s = u(pqc.lattice(grid))
             for i in (1, 2, 16, 31):
                 want = closed_form_integral(u, (0.0, 1.0), params,
-                                            grid.node(i / 2.0))
+                                            pqc.lattice(grid)[i])
                 got = pqc.rule(cq, s)[i - 1]
                 assert abs(got - want) <= 1e-11 * abs(want)
         # both global solvers reproduce u == 1 at all nodes
@@ -318,10 +320,11 @@ def test_criterion_7_oracle_suite():
     worst = 0.0
     for gamma in [round(0.1 * k, 1) for k in range(1, 10)]:
         for x in xs:
+            sides = oracle._point_sides(u, 0.0, 1.0, gamma, np.array([x]))
             n, prev = 4, None
             while True:
-                cur = (oracle._one_sided(u, x, x, gamma, -1.0, n)
-                       + oracle._one_sided(u, x, 1.0 - x, gamma, +1.0, n))
+                left, right = sides(np.arange(1), n)
+                cur = left + right
                 if prev is not None and abs(cur - prev) < tol / 4.0 + 2e-14 * abs(cur):
                     break
                 prev, n = cur, n * 2

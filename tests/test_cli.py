@@ -1,7 +1,13 @@
 """Command-line surface: parsing, exit codes, config files, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import nlcolloc
 from nlcolloc import cli
 
 
@@ -203,6 +209,20 @@ class TestStudies:
                                  "--gamma", "0.3", "--levels", "16,32",
                                  "--interval=0,20")
         assert status == 0, err
+
+
+@pytest.mark.parametrize("command", ["truncation", "converge"])
+def test_overflow_is_a_numerical_failure(command):
+    # e^720 overflows float64: one error line, no warning or traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nlcolloc.cli", command, "--scheme", "plc",
+         "--gamma", "0.5", "--levels", "8", "--interval=700,720"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
 
 
 class TestDeterminismAndIo:

@@ -132,7 +132,7 @@ class TestAgainstQuadrature:
         c = plc_tables(gamma, N)
         for i in (1, 2, N - 1):
             i0, iN = boundary_basis_integrals(grid, KernelParams(gamma),
-                                              grid.node(i), "plc")
+                                              grid.lattice(1)[i], "plc")
             assert c.sigma * c.alpha[i - 1] == pytest.approx(i0, rel=1e-10)
             assert c.sigma * c.alpha[N - i - 1] == pytest.approx(iN, rel=1e-10)
 
@@ -143,12 +143,13 @@ class TestAgainstQuadrature:
         c = pqc_tables(gamma, N)
         for i in (1, 5):          # integer rows use beta
             i0, iN = boundary_basis_integrals(grid, KernelParams(gamma),
-                                              grid.node(i), "pqc")
+                                              grid.lattice(1)[i], "pqc")
             assert c.eta * c.beta[i - 1] == pytest.approx(i0, rel=1e-9)
             assert c.eta * c.beta[N - i - 1] == pytest.approx(iN, rel=1e-9)
         for s in (0, 3):          # half rows x_{s+1/2} use gamma
             i0, iN = boundary_basis_integrals(grid, KernelParams(gamma),
-                                              grid.node(s + 0.5), "pqc")
+                                              grid.lattice(2)[2 * s + 1],
+                                              "pqc")
             assert c.eta * c.gammaB[s] == pytest.approx(i0, rel=1e-9)
             assert c.eta * c.gammaB[N - 1 - s] == pytest.approx(iN, rel=1e-9)
 

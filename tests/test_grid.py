@@ -17,7 +17,7 @@ def test_cell_count_must_be_an_integer():
     # with N = 4.5 the nodes ran past b and the weights raised IndexError
     with pytest.raises(ValueError, match="integer N"):
         UniformGrid(0.0, 1.0, 4.5)
-    assert UniformGrid(0.0, 1.0, np.int64(8)).integer_nodes()[-1] == 1.0
+    assert UniformGrid(0.0, 1.0, np.int64(8)).lattice(1)[-1] == 1.0
 
 
 @pytest.mark.parametrize("a, b, N", [
@@ -39,7 +39,8 @@ def test_fine_interval_accepted_at_coarse_levels():
 @pytest.mark.parametrize("N", [2, 3, 7, 64, 513, 4096])
 def test_lattice_interleaves_integer_and_half_nodes(a, b, N):
     grid = UniformGrid(a, b, N)
-    assert grid.lattice(1).tobytes() == grid.integer_nodes().tobytes()
+    integer = a + np.arange(N + 1) * grid.h
+    assert grid.lattice(1).tobytes() == integer.tobytes()
     fine = grid.lattice(2)
-    assert fine[0::2].tobytes() == grid.integer_nodes().tobytes()
-    assert fine[1::2].tobytes() == grid.half_nodes().tobytes()
+    assert fine[0::2].tobytes() == integer.tobytes()
+    assert fine[1::2].tobytes() == (a + (np.arange(N) + 0.5) * grid.h).tobytes()

@@ -117,8 +117,7 @@ def ref_cell_integral(x, nodes, values, gamma):
 
 
 def ref_interpolant_integral(scheme, grid, gamma, u, x):
-    xs = grid.integer_nodes()
-    xh = grid.half_nodes()
+    xs, xh = grid.lattice(1), grid.lattice(2)[1::2]
     total = 0.0
     for j in range(grid.N):
         if scheme == "plc":
@@ -143,7 +142,7 @@ def test_interpolant_integral_bitwise_equals_cell_by_cell(scheme, gamma, N,
     grid = UniformGrid(a, b, N)
     params = KernelParams(gamma)
     u = np.exp if a == 0.0 else np.square
-    xs, xh = grid.integer_nodes(), grid.half_nodes()
+    xs, xh = grid.lattice(1), grid.lattice(2)[1::2]
     rng = np.random.default_rng(N)
     points = [a + grid.h, b - grid.h, xs[N // 2], xh[0], xh[N // 2], xh[-1],
               *(a + (b - a) * rng.random(3))]

@@ -113,7 +113,6 @@ class TestManufacturedProblem:
         grid = UniformGrid(0.0, 1.0, 8)
         prob = exact_nonlocal_rhs(exponential(), grid, KernelParams(0.3),
                                   nodes="pqc")
-        assert len(prob.nodes) == 15
         assert len(prob.fValues) == 15
 
     def test_unknown_node_set_rejected(self):
@@ -125,8 +124,10 @@ class TestManufacturedProblem:
 # --- the per-point scalar oracle, kept as the bitwise reference -------------
 #
 # singular_integrals evaluates every point at once; these are the scalar
-# routines it replaced.  The manufactured right-hand sides feed the frozen
-# table CSVs, so the batched values must equal them bit for bit.
+# routines it replaced, and the batched values must equal them bit for bit.
+# For const and monomial u the value is the Gauss-Jacobi sum itself.  The
+# table CSVs all use u = e^y, whose value is the series: there the
+# Gauss-Jacobi levels only decide whether the cross-check raises.
 
 def _scalar_kernel_row_integral(a, b, gamma, x):
     e = 1.0 - gamma
@@ -180,7 +181,7 @@ def _scalar_singular_integral(u, interval, params, x, tol=1e-12):
 
 
 def _scalar_rhs(u, grid, params, nodes, tol):
-    xs = grid.interior_nodes() if nodes == "plc" else grid.lattice(2)[1:-1]
+    xs = grid.lattice(1 if nodes == "plc" else 2)[1:-1]
     interval = (grid.a, grid.b)
     return np.array([
         uv * _scalar_kernel_row_integral(grid.a, grid.b, params.gamma, x)
@@ -231,9 +232,8 @@ def test_singular_integral_bitwise_at_table_points(u):
 # returned, so fValues must keep every bit of the arbitrary-point route.
 
 def _lattice(grid, nodes):
-    if nodes == "plc":
-        return grid.interior_nodes(), grid.h
-    return grid.lattice(2)[1:-1], grid.h / 2.0
+    p = 1 if nodes == "plc" else 2
+    return grid.lattice(p)[1:-1], grid.h / p
 
 
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 3.0), (0.0, 1e-3),
@@ -341,8 +341,9 @@ def test_gauss_jacobi_weights_sum_to_weight_integral(gamma, rtol, n):
 
 
 # --- the general (alpha, beta) Jacobi recurrence, kept as the bitwise
-# reference: the oracle's rules carry alpha = 0 only, and every table CSV
-# rests on their bits.
+# reference: the oracle's rules carry alpha = 0 only.  The const and
+# monomial values are sums over these rules; the table CSVs (u = e^y, whose
+# value is the series) take from them only the cross-check's verdict.
 
 def _ref_recurrence(n, alpha, beta):
     alpha, beta = np.longdouble(alpha), np.longdouble(beta)
@@ -449,6 +450,31 @@ class TestBoundedMemory:
                                    KernelParams(0.7), nodes="plc")
 
         assert _peak_bytes(run) <= 16e6
+
+
+class TestOverflow:
+    """Far from 0, e^y overflows float64; both routes say so at once."""
+
+    def test_point_route_stops_at_the_first_level(self, monkeypatch):
+        # every level is infinite: doubling on would build rules of up to
+        # MAX_NODES_PER_SIDE nodes, at O(n^2) each
+        sizes, rule = [], oracle._gj_rule
+        monkeypatch.setattr(oracle, "_gj_rule",
+                            lambda n, gamma: sizes.append(n) or rule(n, gamma))
+        with pytest.raises(OracleError, match="x=710.0 is not finite"):
+            singular_integral(exponential(), (700.0, 720.0), KernelParams(0.5),
+                              710.0, 1e-13)
+        assert max(sizes) <= 8
+
+    def test_lattice_route(self):
+        params = KernelParams(0.5)
+        with pytest.raises(OracleError, match="overflows float64 at y=720.0"):
+            exact_nonlocal_rhs(exponential(), UniformGrid(700.0, 720.0, 8),
+                               params, tol=1e-13)
+        # e^b is finite, the sides near b are not
+        with pytest.raises(OracleError, match="not finite"):
+            exact_nonlocal_rhs(exponential(), UniformGrid(700.0, 709.7, 8),
+                               params, tol=1e-13)
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():

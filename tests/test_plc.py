@@ -35,7 +35,7 @@ class TestExactness:
     @pytest.mark.parametrize("u", [constant(2.5), monomial(1)])
     def test_moment_route_at_arbitrary_x(self, gamma, u):
         params, grid, _ = scheme_for(gamma, 16)
-        samples = u(grid.integer_nodes())
+        samples = u(plc.lattice(grid))
         for x in (1.0 / 3.0, 0.05, 0.991):
             want = closed_form_integral(u, (0.0, 1.0), params, x)
             got = plc.interpolant_integral(params, grid, samples, x)

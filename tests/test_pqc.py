@@ -113,8 +113,8 @@ class TestSystem:
         report = solver.check_structure(system)
         slack = np.diag(system.matrix) - np.sum(
             np.abs(system.matrix - np.diag(np.diag(system.matrix))), axis=1)
-        for row, x in ((0, grid.node(1)), (7, grid.node(0.5)),
-                       (10, grid.node(3.5))):
+        nodes = pqc.lattice(grid)
+        for row, x in ((0, nodes[2]), (7, nodes[1]), (10, nodes[7])):
             i0, iN = boundary_basis_integrals(grid, params, x, "pqc")
             assert slack[row] == pytest.approx(i0 + iN, rel=1e-9)
         assert report.minRowSlack == pytest.approx(np.min(slack))

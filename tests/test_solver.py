@@ -28,11 +28,11 @@ def toeplitz(diag, column, row=None, scale=1.0):
                              blocks=blocks)
 
 
-def system_of(structure, scheme="plc", b=None):
+def system_of(structure, b=None):
     n = len(structure.diag)
     return CollocationSystem(operator=structure,
                              rhs=np.zeros(n) if b is None else b,
-                             scheme=scheme, nodes=np.arange(n, dtype=float))
+                             nodes=np.arange(n, dtype=float))
 
 
 class TestSolveDense:
@@ -179,7 +179,7 @@ class TestSolveAboveCutoff:
         structure = ToeplitzStructure(scale=1.0, diag=np.full(n, 3.0),
                                       blocks=(((column, row),),))
         b = rng.standard_normal(n)
-        system = CollocationSystem(operator=structure, rhs=b, scheme="plc",
+        system = CollocationSystem(operator=structure, rhs=b,
                                    nodes=np.zeros(n))
         assert solver.solve_krylov(structure, b) is None
         x = solver.solve_dense(system)
@@ -232,7 +232,7 @@ class TestGmres:
         params, grid = KernelParams(0.95), UniformGrid(0.0, 1.0, 2048)
         structure = pqc.structure(pqc.weights(params, grid))
         b = np.ones(len(structure.diag))
-        system = system_of(structure, scheme="pqc", b=b)
+        system = system_of(structure, b=b)
         x = solver.solve_dense(system)
         assert len(matvec_calls) <= solver.KRYLOV_RESTART + 2
         assert x.tobytes() == solver._solve_lu(system.matrix, b).tobytes()
@@ -302,20 +302,43 @@ class TestCheckStructure:
         assert not report.offDiagNegative
         assert report.minRowSlack < 0.0
 
-    def test_spd_flag_only_meaningful_for_plc(self):
+    def test_spd_flag_only_for_symmetric_operators(self):
         A = toeplitz([2, 2], [0, 0.5])
         assert solver.check_structure(system_of(A)).spdFactorizationOk is True
-        assert solver.check_structure(
-            system_of(A, "pqc")).spdFactorizationOk is None
+        # [[2, 0], [5, 2]]: the upper triangle Cholesky reads is SPD, the
+        # matrix is not symmetric
+        report = solver.check_structure(system_of(toeplitz([2, 2], [0, -5],
+                                                           [0, 0])))
+        assert not report.symmetric
+        assert report.spdFactorizationOk is None
 
 
-def _old_check_structure(A, scheme):
-    """check_structure as it was: whole-matrix formulas and Cholesky."""
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 16, 64, 512])
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99,
+                                   0.999])
+def test_spd_check_follows_the_schemes_symmetry(gamma, N):
+    # PLC's operator is symmetric, and Gershgorin certifies it SPD without
+    # forming the matrix; PQC's is never symmetric, so it gets no verdict
+    params, grid = KernelParams(gamma), UniformGrid(0.0, 1.0, N)
+    system = system_of(plc.structure(plc.weights(params, grid)))
+    report = solver.check_structure(system)
+    assert report.symmetric and report.spdFactorizationOk is True
+    assert "matrix" not in vars(system)
+    report = solver.check_structure(
+        system_of(pqc.structure(pqc.weights(params, grid))))
+    assert not report.symmetric and report.spdFactorizationOk is None
+
+
+def _old_check_structure(A):
+    """check_structure as it was: whole-matrix formulas, and Cholesky for a
+    symmetric A."""
     diag = np.diag(A)
     off = A - np.diag(diag)
     slack = diag - np.sum(np.abs(off), axis=1)
+    symmetric = bool(np.allclose(A, A.T, rtol=0.0,
+                                 atol=1e-14 * np.max(np.abs(A))))
     spd_ok = None
-    if scheme == "plc":
+    if symmetric:
         try:
             linalg.cholesky(A)
             spd_ok = True
@@ -327,8 +350,7 @@ def _old_check_structure(A, scheme):
         offDiagNegative=bool(np.all(A[offdiag_mask] < 0.0)),
         rowSums=np.sum(A, axis=1),
         minRowSlack=float(np.min(slack)),
-        symmetric=bool(np.allclose(A, A.T, rtol=0.0,
-                                   atol=1e-14 * np.max(np.abs(A)))),
+        symmetric=symmetric,
         spdFactorizationOk=spd_ok,
     )
 
@@ -348,9 +370,9 @@ def _fsum_reference(structure):
     return np.array(sums), min(slack)
 
 
-def _assert_matches_reference(structure, scheme):
-    got = solver.check_structure(system_of(structure, scheme))
-    want = _old_check_structure(structure.dense(), scheme)
+def _assert_matches_reference(structure):
+    got = solver.check_structure(system_of(structure))
+    want = _old_check_structure(structure.dense())
     assert (got.diagPositive, got.offDiagNegative, got.symmetric,
             got.spdFactorizationOk) == (want.diagPositive, want.offDiagNegative,
                                         want.symmetric, want.spdFactorizationOk)
@@ -426,13 +448,14 @@ def _structure_cases():
 @pytest.mark.parametrize("name, scheme, structure", list(_structure_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_check_structure_matches_old_formulas(name, scheme, structure):
-    _assert_matches_reference(structure, scheme)
+    # scheme only names the case: the SPD verdict follows the symmetry
+    _assert_matches_reference(structure)
 
 
 @pytest.mark.parametrize("scheme, N", STRUCTURE_SIZES)
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
 def test_check_structure_generated_equals_dense(scheme, N, gamma):
-    _assert_matches_reference(_structure(scheme, gamma, N)[0], scheme)
+    _assert_matches_reference(_structure(scheme, gamma, N)[0])
 
 
 def test_check_structure_never_forms_the_matrix(monkeypatch):
@@ -446,7 +469,7 @@ def test_check_structure_never_forms_the_matrix(monkeypatch):
     monkeypatch.setattr(ToeplitzStructure, "dense", refuse)
     for scheme, N in (("pqc", 64), ("plc", 64)):
         structure, _ = _structure(scheme, 0.7, N)
-        report = solver.check_structure(system_of(structure, scheme))
+        report = solver.check_structure(system_of(structure))
         assert report.diagPositive and report.offDiagNegative
     assert calls == []
     kms = toeplitz(np.ones(5), -0.9 ** np.arange(5.0))
@@ -460,7 +483,7 @@ class TestLazyMatrix:
         structure, _ = _structure("pqc", 0.7, 64)
         n = len(structure.diag)
         system = CollocationSystem(operator=structure, rhs=np.zeros(n),
-                                   scheme="pqc", nodes=np.zeros(n))
+                                   nodes=np.zeros(n))
         assert "matrix" not in vars(system)
         first = system.matrix
         assert system.matrix is first

@@ -111,7 +111,7 @@ class TestGlobalStudy:
         config = StudyConfig("pqc", 0.3, (4, 8, 16),
                              testFunction=exponential())
         report = study.run_global_study(config)
-        errs = report.errors()
+        errs = np.array([r.error for r in report.rows])
         assert np.all(errs[:-1] > errs[1:])
 
     def test_metadata_echoes_config(self):
