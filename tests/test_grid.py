@@ -43,4 +43,5 @@ def test_lattice_interleaves_integer_and_half_nodes(a, b, N):
     assert grid.lattice(1).tobytes() == integer.tobytes()
     fine = grid.lattice(2)
     assert fine[0::2].tobytes() == integer.tobytes()
-    assert fine[1::2].tobytes() == (a + (np.arange(N) + 0.5) * grid.h).tobytes()
+    half = a + (np.arange(N) + 0.5) * grid.h
+    assert fine[1::2].tobytes() == half.tobytes()
