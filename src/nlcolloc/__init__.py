@@ -9,15 +9,13 @@ Dirichlet boundary data.
 from .grid import KernelParams, UniformGrid
 from .coeffs import (PlcCoeffs, PqcCoeffs, eta_scaling, plc_weights,
                      pqc_weights, sigma_scaling)
-from .oracle import (ManufacturedProblem, OracleError, TestFunction,
-                     boundary_basis_integrals, closed_form_integral, constant,
+from .oracle import (ManufacturedProblem, OracleError, TestFunction, constant,
                      exact_nonlocal_rhs, exponential, kernel_row_integral,
                      monomial, singular_integral, singular_integrals)
 from .plc import assemble_plc_system, truncation_error
 from .pqc import assemble_pqc_system, pqc_truncation_at
 from .solver import (CollocationSystem, SingularSystemError, StructureReport,
-                     check_structure, gershgorin_reference_bound,
-                     min_eigenvalue, solve_dense)
+                     check_structure, solve_dense)
 from .study import (StudyConfig, StudyReport, StudyRow, emit_table,
                     fit_orders, run_global_study, run_truncation_study)
 
@@ -30,13 +28,11 @@ __all__ = [
     "TestFunction", "constant", "monomial", "exponential",
     "ManufacturedProblem", "OracleError", "singular_integral",
     "singular_integrals",
-    "closed_form_integral", "kernel_row_integral", "exact_nonlocal_rhs",
-    "boundary_basis_integrals",
+    "kernel_row_integral", "exact_nonlocal_rhs",
     "assemble_plc_system", "truncation_error",
     "assemble_pqc_system", "pqc_truncation_at",
     "CollocationSystem", "StructureReport", "SingularSystemError",
-    "solve_dense", "check_structure", "min_eigenvalue",
-    "gershgorin_reference_bound",
+    "solve_dense", "check_structure",
     "StudyConfig", "StudyReport", "StudyRow", "run_truncation_study",
     "run_global_study", "emit_table", "fit_orders",
 ]

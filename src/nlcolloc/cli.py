@@ -108,7 +108,7 @@ def _config_args(path: str, parser: _Parser) -> list:
     """The `key = value` lines of a config file as `--key=value` arguments."""
     args = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -122,7 +122,7 @@ def _config_args(path: str, parser: _Parser) -> list:
                 if key == "config" or f"--{key}" not in parser._option_string_actions:
                     raise UsageError(f"--config: unknown key {key!r}")
                 args.append(f"--{key}={value.strip()}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"--config: cannot read {path!r}: {exc}")
     return args
 

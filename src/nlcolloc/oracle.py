@@ -3,8 +3,7 @@
 Everything here is independent of the collocation weight tables: the
 primary route is Gauss-Jacobi quadrature with the s^(-gamma) weight on
 each side of the singularity, doubled until converged.  The exponential
-test function carries a convergent-series second opinion, and constant /
-monomial functions have closed forms.
+test function carries a convergent-series second opinion.
 """
 
 import functools
@@ -382,25 +381,6 @@ def _exp_integral_series(a: float, b: float, gamma: float, x: np.ndarray,
         * (sides[:x.size] + sides[x.size:])
 
 
-def closed_form_integral(u: TestFunction, interval, params: KernelParams,
-                         x: float, tol: float = 1e-13) -> float:
-    """Closed-form (or series) value of I(a, b, x) for the supported kinds."""
-    a, b = interval
-    gamma = params.gamma
-    if u.kind == "const":
-        return u.c * kernel_row_integral(a, b, gamma, x)
-    if u.kind == "exp":
-        return float(_exp_integral_series(a, b, gamma, np.array([x]), tol)[0])
-    # monomial: expand y^p about x; odd powers flip sign on the left side
-    total = 0.0
-    for j in range(u.p + 1):
-        e = j + 1.0 - gamma
-        binom = math.comb(u.p, j)
-        total += binom * x ** (u.p - j) * (
-            (-1.0) ** j * (x - a) ** e + (b - x) ** e) / e
-    return total
-
-
 # --- manufactured problems --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -430,59 +410,3 @@ def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
         - integral
     return ManufacturedProblem(
         fValues=f, boundary=(float(u(grid.a)), float(u(grid.b))))
-
-
-# --- boundary basis integrals (adaptive-quadrature route) -------------------
-
-def _piecewise_singular_quad(f, lo: float, hi: float, gamma: float,
-                             x: float) -> float:
-    """int_lo^hi f(y) |x - y|^(-gamma) dy with f smooth on [lo, hi]; the
-    kernel singularity may sit inside, at an endpoint, or outside."""
-    # imported here: only this reference route needs it, and it is most of
-    # the import cost of the package
-    from scipy import integrate
-
-    if gamma == 0.0:
-        val, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13)
-        return val
-
-    def piece(l, r):
-        if l >= r:
-            return 0.0
-        if abs(l - x) < 1e-15 * max(1.0, abs(x)):
-            v, _ = integrate.quad(f, l, r, weight="alg", wvar=(-gamma, 0.0),
-                                  epsabs=1e-13, epsrel=1e-13)
-        elif abs(r - x) < 1e-15 * max(1.0, abs(x)):
-            v, _ = integrate.quad(f, l, r, weight="alg", wvar=(0.0, -gamma),
-                                  epsabs=1e-13, epsrel=1e-13)
-        else:
-            v, _ = integrate.quad(lambda y: f(y) * abs(x - y) ** -gamma,
-                                  l, r, epsabs=1e-13, epsrel=1e-13)
-        return v
-
-    if lo < x < hi:
-        return piece(lo, x) + piece(x, hi)
-    return piece(lo, hi)
-
-
-def boundary_basis_integrals(grid: UniformGrid, params: KernelParams,
-                             x: float, scheme: str) -> tuple:
-    """Oracle values of int phi_0 |x-y|^(-gamma) dy and the phi_N twin.
-
-    phi_0 / phi_N are the boundary interpolation basis functions: linear
-    hats for 'plc', edge quadratics for 'pqc'.  Computed by adaptive
-    quadrature, independently of the weight tables.
-    """
-    a, b, h = grid.a, grid.b, grid.h
-    if scheme == "plc":
-        left = lambda y: (a + h - y) / h
-        right = lambda y: (y - (b - h)) / h
-    elif scheme == "pqc":
-        # quadratic through (x0, 1), (x_{1/2}, 0), (x1, 0) and its mirror
-        left = lambda y: 2.0 * (a + h - y) * (a + h / 2.0 - y) / h ** 2
-        right = lambda y: 2.0 * (y - (b - h)) * (y - (b - h / 2.0)) / h ** 2
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    i0 = _piecewise_singular_quad(left, a, a + h, params.gamma, x)
-    iN = _piecewise_singular_quad(right, b - h, b, params.gamma, x)
-    return i0, iN

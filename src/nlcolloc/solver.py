@@ -9,8 +9,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg
 
-from .grid import KernelParams, UniformGrid
-
 # Above this many unknowns solve_dense takes the Krylov path.  One thread on
 # a 2-core Xeon VM, u = e^x, gamma in {0.3, 0.7, 0.95}, medians of 7 over
 # two runs; LU includes forming the matrix, GMRES its block spectra:
@@ -237,28 +235,6 @@ def solve_krylov(structure: ToeplitzStructure,
     return None
 
 
-def min_eigenvalue(A: np.ndarray, tol: float = 1e-12, maxiter: int = 200) -> float:
-    """Smallest-magnitude eigenvalue by inverse power iteration.
-
-    Intended for the positive definite / dominant matrices produced here,
-    where the smallest-magnitude eigenvalue is the smallest one.
-    """
-    n = A.shape[0]
-    lu, piv = linalg.lu_factor(A)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = float("inf")
-    for _ in range(maxiter):
-        w = linalg.lu_solve((lu, piv), v)
-        w /= np.linalg.norm(w)
-        new = float(w @ A @ w)
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            return new
-        lam, v = new, w
-    return lam
-
-
 def _dd_add(x, y):
     """x + y for double-double pairs (hi, lo) of arrays: Knuth's TwoSum of
     the high parts, plus both low parts, renormalised."""
@@ -361,12 +337,3 @@ def check_structure(system: CollocationSystem) -> StructureReport:
         symmetric=symmetric,
         spdFactorizationOk=spd_ok,
     )
-
-
-def gershgorin_reference_bound(params: KernelParams, grid: UniformGrid) -> float:
-    """Analytic lower bound on the smallest eigenvalue of the unscaled
-    piecewise linear matrix D - G."""
-    gam, N = params.gamma, grid.N
-    i = np.arange(1, N, dtype=float)
-    c = (2.0 - gam) * (1.0 - gam) / 2.0
-    return float(np.min(c / i ** gam + c / (N - i) ** gam))

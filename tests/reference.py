@@ -1,0 +1,121 @@
+"""Independent reference routes that only the tests use.
+
+Closed forms of the singular integral, adaptive-quadrature integrals of the
+boundary basis functions, and an eigenvalue bound for the PLC matrix: each
+is computed without the collocation weight tables, so the tests can check
+the library's rules, boundary terms and structure against them.
+"""
+
+import math
+
+import numpy as np
+from scipy import integrate, linalg
+
+from nlcolloc.grid import KernelParams, UniformGrid
+from nlcolloc.oracle import TestFunction, _exp_integral_series, kernel_row_integral
+
+
+# --- closed forms -----------------------------------------------------------
+
+def closed_form_integral(u: TestFunction, interval, params: KernelParams,
+                         x: float, tol: float = 1e-13) -> float:
+    """Closed-form (or series) value of I(a, b, x) for the supported kinds."""
+    a, b = interval
+    gamma = params.gamma
+    if u.kind == "const":
+        return u.c * kernel_row_integral(a, b, gamma, x)
+    if u.kind == "exp":
+        return float(_exp_integral_series(a, b, gamma, np.array([x]), tol)[0])
+    # monomial: expand y^p about x; odd powers flip sign on the left side
+    total = 0.0
+    for j in range(u.p + 1):
+        e = j + 1.0 - gamma
+        binom = math.comb(u.p, j)
+        total += binom * x ** (u.p - j) * (
+            (-1.0) ** j * (x - a) ** e + (b - x) ** e) / e
+    return total
+
+
+# --- boundary basis integrals (adaptive-quadrature route) -------------------
+
+def _piecewise_singular_quad(f, lo: float, hi: float, gamma: float,
+                             x: float) -> float:
+    """int_lo^hi f(y) |x - y|^(-gamma) dy with f smooth on [lo, hi]; the
+    kernel singularity may sit inside, at an endpoint, or outside."""
+    if gamma == 0.0:
+        val, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13)
+        return val
+
+    def piece(l, r):
+        if l >= r:
+            return 0.0
+        if abs(l - x) < 1e-15 * max(1.0, abs(x)):
+            v, _ = integrate.quad(f, l, r, weight="alg", wvar=(-gamma, 0.0),
+                                  epsabs=1e-13, epsrel=1e-13)
+        elif abs(r - x) < 1e-15 * max(1.0, abs(x)):
+            v, _ = integrate.quad(f, l, r, weight="alg", wvar=(0.0, -gamma),
+                                  epsabs=1e-13, epsrel=1e-13)
+        else:
+            v, _ = integrate.quad(lambda y: f(y) * abs(x - y) ** -gamma,
+                                  l, r, epsabs=1e-13, epsrel=1e-13)
+        return v
+
+    if lo < x < hi:
+        return piece(lo, x) + piece(x, hi)
+    return piece(lo, hi)
+
+
+def boundary_basis_integrals(grid: UniformGrid, params: KernelParams,
+                             x: float, scheme: str) -> tuple:
+    """Oracle values of int phi_0 |x-y|^(-gamma) dy and the phi_N twin.
+
+    phi_0 / phi_N are the boundary interpolation basis functions: linear
+    hats for 'plc', edge quadratics for 'pqc'.  Computed by adaptive
+    quadrature, independently of the weight tables.
+    """
+    a, b, h = grid.a, grid.b, grid.h
+    if scheme == "plc":
+        left = lambda y: (a + h - y) / h
+        right = lambda y: (y - (b - h)) / h
+    elif scheme == "pqc":
+        # quadratic through (x0, 1), (x_{1/2}, 0), (x1, 0) and its mirror
+        left = lambda y: 2.0 * (a + h - y) * (a + h / 2.0 - y) / h ** 2
+        right = lambda y: 2.0 * (y - (b - h)) * (y - (b - h / 2.0)) / h ** 2
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    i0 = _piecewise_singular_quad(left, a, a + h, params.gamma, x)
+    iN = _piecewise_singular_quad(right, b - h, b, params.gamma, x)
+    return i0, iN
+
+
+# --- eigenvalues ------------------------------------------------------------
+
+def min_eigenvalue(A: np.ndarray, tol: float = 1e-12, maxiter: int = 200) -> float:
+    """Smallest-magnitude eigenvalue by inverse power iteration.
+
+    Intended for the positive definite / dominant matrices produced here,
+    where the smallest-magnitude eigenvalue is the smallest one.
+    """
+    n = A.shape[0]
+    lu, piv = linalg.lu_factor(A)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    lam = float("inf")
+    for _ in range(maxiter):
+        w = linalg.lu_solve((lu, piv), v)
+        w /= np.linalg.norm(w)
+        new = float(w @ A @ w)
+        if abs(new - lam) <= tol * max(1.0, abs(new)):
+            return new
+        lam, v = new, w
+    return lam
+
+
+def gershgorin_reference_bound(params: KernelParams, grid: UniformGrid) -> float:
+    """Analytic lower bound on the smallest eigenvalue of the unscaled
+    piecewise linear matrix D - G."""
+    gam, N = params.gamma, grid.N
+    i = np.arange(1, N, dtype=float)
+    c = (2.0 - gam) * (1.0 - gam) / 2.0
+    return float(np.min(c / i ** gam + c / (N - i) ** gam))

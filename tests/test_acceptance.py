@@ -22,9 +22,10 @@ import pytest
 
 from nlcolloc import oracle, plc, pqc, solver, study
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.oracle import (boundary_basis_integrals, closed_form_integral,
-                             constant, exact_nonlocal_rhs, exponential,
+from nlcolloc.oracle import (constant, exact_nonlocal_rhs, exponential,
                              monomial, singular_integral)
+from reference import (boundary_basis_integrals, closed_form_integral,
+                       gershgorin_reference_bound, min_eigenvalue)
 
 # --- frozen reference data ---------------------------------------------------
 
@@ -235,9 +236,9 @@ def test_criterion_5_structural_suite():
             assert np.all(off[~np.eye(N - 1, dtype=bool)] < 0.0)
             assert np.min(slack) > 0.0
             np.linalg.cholesky(A)   # symmetric positive definite
-            lam = solver.min_eigenvalue(A)
+            lam = min_eigenvalue(A)
             assert lam >= np.min(slack) * (1.0 - 1e-10)
-            assert lam / c.sigma >= solver.gershgorin_reference_bound(
+            assert lam / c.sigma >= gershgorin_reference_bound(
                 params, grid) * (1.0 - 1e-10)
 
             # PQC: positivity, strict dominance, row-slack identity,

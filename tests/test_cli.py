@@ -282,3 +282,26 @@ class TestDeterminismAndIo:
                                  "--gamma", "0.5", "--levels", "8")
         assert status == 2
         assert "--config" in err
+
+    def test_config_not_utf8_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"scheme = plc\n# caf\xe9 (Latin-1)\n")
+        status, _, err = run_cli(capsys, "converge", "--config", str(config),
+                                 "--gamma", "0.5", "--levels", "8")
+        assert status == 2
+        assert "--config" in err
+
+    def test_config_read_as_utf8_in_any_locale(self, capsys, tmp_path):
+        # the C locale's preferred encoding is ASCII; the file is UTF-8
+        config = tmp_path / "run.cfg"
+        config.write_text("# café\nscheme = plc\ngamma = 0.3\npoint = first\n"
+                          "levels = 8,16\n", encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "nlcolloc.cli", "truncation", "--config",
+             str(config)], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert done.returncode == 0, done.stderr
+        _, out_flags, _ = run_cli(capsys, *self.ARGS)
+        assert done.stdout == out_flags

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nlcolloc import coeffs
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.oracle import boundary_basis_integrals
+from reference import boundary_basis_integrals
 
 
 def plc_tables(gamma, N, a=0.0, b=1.0):

@@ -1,17 +1,22 @@
-"""Source layout: no module imports a name it never uses.
+"""Source layout: no module imports a name it never uses, and the library
+imports no third-party module besides the ones it runs on.
 
-The environment has no linter; this is the one lint rule the package keeps,
+The environment has no linter; these are the lint rules the package keeps,
 so that deleting code also deletes the imports only it needed.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "nlcolloc").glob("*.py"),
-                  *(ROOT / "scripts").glob("*.py")])
+LIBRARY = sorted((ROOT / "src" / "nlcolloc").glob("*.py"))
+MODULES = sorted([*LIBRARY, *(ROOT / "scripts").glob("*.py"),
+                  ROOT / "tests" / "reference.py"])
+# what the library runs on; scipy.integrate and the rest serve only tests
+THIRD_PARTY = ("numpy", "scipy.linalg", "scipy.special")
 
 
 def imported_names(tree):
@@ -52,3 +57,25 @@ def test_no_unused_imports(path):
               for name, line in imported_names(tree).items()
               if name not in used]
     assert not unused
+
+
+def imported_modules(tree):
+    """Every absolute module an import statement names, function-local ones
+    included: `from scipy import linalg` names scipy.linalg."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module == "scipy":
+                yield from (f"scipy.{alias.name}" for alias in node.names)
+            else:
+                yield node.module
+
+
+def test_library_imports_only_its_runtime_dependencies():
+    foreign = [f"{path.name}: {module}" for path in LIBRARY
+               for module in imported_modules(ast.parse(path.read_text()))
+               if module.split(".")[0] not in sys.stdlib_module_names
+               and not any(module == name or module.startswith(name + ".")
+                           for name in THIRD_PARTY)]
+    assert not foreign

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 import nlcolloc
 from nlcolloc import oracle
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.oracle import (OracleError, TestFunction, closed_form_integral,
-                             constant, exact_nonlocal_rhs, exponential,
+from nlcolloc.oracle import (OracleError, TestFunction, constant,
+                             exact_nonlocal_rhs, exponential,
                              kernel_row_integral, monomial, singular_integral,
                              singular_integrals)
+from reference import closed_form_integral
 
 
 class TestKernelRowIntegral:
@@ -478,8 +479,8 @@ class TestOverflow:
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves only the adaptive-quadrature reference route and
-    # is most of the import cost, so it is imported where that route runs
+    # scipy.integrate serves only the tests' adaptive-quadrature reference
+    # route (tests/reference.py); no library module imports it
     env = dict(os.environ, PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
     code = "import sys, nlcolloc; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -7,8 +7,9 @@ import pytest
 
 from nlcolloc import plc, solver
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.oracle import (closed_form_integral, constant, exact_nonlocal_rhs,
-                             exponential, monomial)
+from nlcolloc.oracle import constant, exact_nonlocal_rhs, exponential, monomial
+from reference import (closed_form_integral, gershgorin_reference_bound,
+                       min_eigenvalue)
 
 
 def scheme_for(gamma, N, a=0.0, b=1.0):
@@ -111,7 +112,7 @@ class TestSystem:
         params, grid = KernelParams(0.7), UniformGrid(0.0, 1.0, 32)
         c = plc.weights(params, grid)
         A = plc.structure(c).dense()
-        lam = solver.min_eigenvalue(A)
+        lam = min_eigenvalue(A)
         slack = solver.check_structure(
             plc.assemble_plc_system(
                 params, grid,
@@ -119,7 +120,7 @@ class TestSystem:
         ).minRowSlack
         assert lam >= slack > 0.0
         # the unscaled analytic bound of the convergence analysis
-        assert lam / c.sigma >= solver.gershgorin_reference_bound(params, grid)
+        assert lam / c.sigma >= gershgorin_reference_bound(params, grid)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7])
     @pytest.mark.parametrize("N", [2, 3, 8, 64])

@@ -7,9 +7,8 @@ import pytest
 
 from nlcolloc import pqc, solver
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.oracle import (boundary_basis_integrals, closed_form_integral,
-                             constant, exact_nonlocal_rhs, exponential,
-                             monomial)
+from nlcolloc.oracle import constant, exact_nonlocal_rhs, exponential, monomial
+from reference import boundary_basis_integrals, closed_form_integral
 
 
 def scheme_for(gamma, N, a=0.0, b=1.0):

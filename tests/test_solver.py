@@ -18,6 +18,7 @@ from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.oracle import constant, exact_nonlocal_rhs, exponential
 from nlcolloc.solver import CollocationSystem, ToeplitzStructure
 from nlcolloc.study import SCHEMES
+from reference import gershgorin_reference_bound, min_eigenvalue
 
 
 def toeplitz(diag, column, row=None, scale=1.0):
@@ -276,13 +277,13 @@ def test_krylov_solve_leaves_scipy_fft_unloaded():
 class TestMinEigenvalue:
     def test_diagonal_matrix(self):
         A = np.diag([4.0, 1.0, 9.0])
-        assert solver.min_eigenvalue(A) == pytest.approx(1.0, rel=1e-10)
+        assert min_eigenvalue(A) == pytest.approx(1.0, rel=1e-10)
 
     def test_matches_dense_eigensolver(self):
         A = plc.structure(
             plc.weights(KernelParams(0.4), UniformGrid(0.0, 1.0, 24))).dense()
         want = np.min(linalg.eigvalsh(A))
-        assert solver.min_eigenvalue(A) == pytest.approx(want, rel=1e-8)
+        assert min_eigenvalue(A) == pytest.approx(want, rel=1e-8)
 
 
 class TestCheckStructure:
@@ -541,7 +542,7 @@ class TestSpdFlag:
 
 def test_gershgorin_reference_bound_positive():
     for gamma in (0.0, 0.5, 0.9):
-        bound = solver.gershgorin_reference_bound(KernelParams(gamma),
-                                                  UniformGrid(0.0, 1.0, 64))
+        bound = gershgorin_reference_bound(KernelParams(gamma),
+                                           UniformGrid(0.0, 1.0, 64))
         assert bound > 0.0
 
