@@ -108,7 +108,7 @@ def _config_args(path: str, parser: _Parser) -> list:
     """The `key = value` lines of a config file as `--key=value` arguments."""
     args = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):

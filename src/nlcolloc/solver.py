@@ -57,19 +57,24 @@ class ToeplitzStructure:
 
     @cached_property
     def _spectra(self):
-        """(row slice, column slice, FFT length, spectrum) of every block:
-        the rfft of its circulant embedding, of a power-of-two length L of at
-        least m + k - 1 for an m-by-k block (first column, then zeros, then
-        the first row reversed)."""
+        """(L, row slices, column slices, spectra) of the block grid: one
+        power-of-two FFT length L of at least m + k - 1 for every m-by-k
+        block, the row slice of each block row and the column slice of each
+        block column, and spectra[p][q], the rfft at length L of block (p, q)'s
+        circulant embedding (first column, then zeros, then the first row
+        reversed)."""
+        tiles = list(self._tiles())
+        length = 1 << max(len(c) + len(r) - 2 for *_, (c, r) in tiles).bit_length()
         spectra = []
-        for rows, cols, (column, row) in self._tiles():
-            m, k = len(column), len(row)
-            length = 1 << (m + k - 2).bit_length()
+        for _, _, (column, row) in tiles:
             embedding = np.zeros(length)
-            embedding[:m] = column
-            embedding[length - k + 1:] = row[:0:-1]
-            spectra.append((rows, cols, length, np.fft.rfft(embedding)))
-        return spectra
+            embedding[:len(column)] = column
+            embedding[length - len(row) + 1:] = row[:0:-1]
+            spectra.append(np.fft.rfft(embedding))
+        width = len(self.blocks[0])
+        return (length, [rows for rows, _, _ in tiles[::width]],
+                [cols for _, cols, _ in tiles[:width]],
+                np.reshape(spectra, (len(self.blocks), width, -1)))
 
     def dense(self) -> np.ndarray:
         """The whole matrix, with no n-by-n temporary besides the result:
@@ -86,12 +91,14 @@ class ToeplitzStructure:
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a vector x, in O(n log n): one rfft/irfft pair per block
-        against its cached spectrum."""
+        """A @ x for a vector x, in O(n log n): one rfft per block column;
+        per block row, the products with its blocks' cached spectra summed in
+        frequency space and one irfft."""
+        length, row_slices, column_slices, spectra = self._spectra
+        X = [np.fft.rfft(x[cols], length) for cols in column_slices]
         y = self.diag * x
-        for rows, cols, length, spectrum in self._spectra:
-            product = np.fft.irfft(spectrum * np.fft.rfft(x[cols], length),
-                                   length)
+        for rows, block_row in zip(row_slices, spectra):
+            product = np.fft.irfft((block_row * X).sum(axis=0), length)
             y[rows] -= product[:rows.stop - rows.start]
         y *= self.scale
         return y
@@ -246,23 +253,15 @@ def _dd_add(x, y):
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """0, x_0, x_0 + x_1, ..., sum(x) as a 2-row double-double array, from a
-    work-efficient (Brent-Kung) scan: O(len(x)) time in 2 log2 len(x)
-    vectorised steps."""
-    n = len(x) + 1
-    size = 1 << (n - 1).bit_length()
-    dd = np.zeros((2, size))
-    dd[0, 1:n] = x
-    step = 1
-    while step < size:      # the last entry of each group of 2 step: its sum
-        right = dd[:, 2 * step - 1::2 * step]
-        right[:] = _dd_add(right, dd[:, step - 1::2 * step])
-        step *= 2
-    while step > 1:         # then each group's middle: the prefix before it
-        step //= 2
-        right = dd[:, 3 * step - 1::2 * step]
-        right[:] = _dd_add(right, dd[:, 2 * step - 1:size - step:2 * step])
-    return dd[:, :n]
+    """0, x_0, x_0 + x_1, ..., sum(x) as a 2-row double-double array: the
+    float64 cumsum, and the cumsum of each of its steps' exact TwoSum errors
+    (Ogita, Rump & Oishi's Sum2), in a few O(len(x)) passes."""
+    dd = np.zeros((2, len(x) + 1))
+    hi = dd[0]
+    np.cumsum(x, out=hi[1:])
+    t = hi[1:] - hi[:-1]
+    np.cumsum((hi[:-1] - (hi[1:] - t)) + (x - t), out=dd[1, 1:])
+    return dd
 
 
 def _block_row_sums(column: np.ndarray, row: np.ndarray):
@@ -281,7 +280,8 @@ def check_structure(system: CollocationSystem) -> StructureReport:
     The off-diagonal entries of A are scale * -t for the generator entries t
     off the diagonal.  Block (p, q) mirrors block (q, p) when its first
     column equals the first row of (q, p); each diagonal block mirrors
-    itself.  Row sums and slack are windows of compensated prefix sums.
+    itself.  Row sums and slack are windows of prefix sums compensated by
+    their running TwoSum errors.
     The SPD question is asked only of a symmetric A, since Cholesky reads
     one triangle: spdFactorizationOk comes from Gershgorin when A has a
     positive diagonal and every row dominant by more than n times the

@@ -3,7 +3,8 @@
 Closed forms of the singular integral, adaptive-quadrature integrals of the
 boundary basis functions, and an eigenvalue bound for the PLC matrix: each
 is computed without the collocation weight tables, so the tests can check
-the library's rules, boundary terms and structure against them.
+the library's rules, boundary terms and structure against them.  A
+double-double prefix scan of another shape checks the solver's row sums.
 """
 
 import math
@@ -13,6 +14,7 @@ from scipy import integrate, linalg
 
 from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.oracle import TestFunction, _exp_integral_series, kernel_row_integral
+from nlcolloc.solver import _dd_add
 
 
 # --- closed forms -----------------------------------------------------------
@@ -119,3 +121,25 @@ def gershgorin_reference_bound(params: KernelParams, grid: UniformGrid) -> float
     i = np.arange(1, N, dtype=float)
     c = (2.0 - gam) * (1.0 - gam) / 2.0
     return float(np.min(c / i ** gam + c / (N - i) ** gam))
+
+
+# --- prefix sums ------------------------------------------------------------
+
+def brent_kung_prefix_sums(x: np.ndarray) -> np.ndarray:
+    """0, x_0, x_0 + x_1, ..., sum(x) as a 2-row double-double array, from a
+    work-efficient (Brent-Kung) scan: O(len(x)) time in 2 log2 len(x)
+    vectorised steps."""
+    n = len(x) + 1
+    size = 1 << (n - 1).bit_length()
+    dd = np.zeros((2, size))
+    dd[0, 1:n] = x
+    step = 1
+    while step < size:      # the last entry of each group of 2 step: its sum
+        right = dd[:, 2 * step - 1::2 * step]
+        right[:] = _dd_add(right, dd[:, step - 1::2 * step])
+        step *= 2
+    while step > 1:         # then each group's middle: the prefix before it
+        step //= 2
+        right = dd[:, 3 * step - 1::2 * step]
+        right[:] = _dd_add(right, dd[:, 2 * step - 1:size - step:2 * step])
+    return dd[:, :n]

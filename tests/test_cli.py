@@ -291,6 +291,18 @@ class TestDeterminismAndIo:
         assert status == 2
         assert "--config" in err
 
+    def test_config_with_byte_order_mark(self, capsys, tmp_path):
+        # some editors start a UTF-8 file with U+FEFF; it is not part of the
+        # first key
+        config = tmp_path / "run.cfg"
+        config.write_text("\ufeffscheme = plc\ngamma = 0.3\npoint = first\n"
+                          "levels = 8,16\n", encoding="utf-8")
+        status, out, err = run_cli(capsys, "truncation", "--config",
+                                   str(config))
+        assert status == 0, err
+        _, out_flags, _ = run_cli(capsys, *self.ARGS)
+        assert out == out_flags
+
     def test_config_read_as_utf8_in_any_locale(self, capsys, tmp_path):
         # the C locale's preferred encoding is ASCII; the file is UTF-8
         config = tmp_path / "run.cfg"

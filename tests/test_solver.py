@@ -18,7 +18,8 @@ from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.oracle import constant, exact_nonlocal_rhs, exponential
 from nlcolloc.solver import CollocationSystem, ToeplitzStructure
 from nlcolloc.study import SCHEMES
-from reference import gershgorin_reference_bound, min_eigenvalue
+from reference import (brent_kung_prefix_sums, gershgorin_reference_bound,
+                       min_eigenvalue)
 
 
 def toeplitz(diag, column, row=None, scale=1.0):
@@ -117,6 +118,15 @@ def _manufactured(scheme, gamma, N):
     return SCHEMES[scheme].assemble(params, grid, prob)
 
 
+def _assert_matvec_matches(structure, A, rng, name=""):
+    x = rng.standard_normal(len(A))
+    # entries of A x that cancel are only known to the size of their terms,
+    # so the absolute part scales with |A| |x|
+    np.testing.assert_allclose(
+        structure.matvec(x), A @ x, rtol=1e-13,
+        atol=1e-13 * np.max(np.abs(A) @ np.abs(x)), err_msg=name)
+
+
 class TestToeplitzStructure:
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     @pytest.mark.parametrize("N", [2, 3, 8, 64, 700])
@@ -127,20 +137,39 @@ class TestToeplitzStructure:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    # N = 513: the PQC blocks' m + k - 1 is 1023, 1024 and 1025, so their
-    # circulant embeddings fill 1024 exactly or are padded to 2048
+    # N = 513: the PQC blocks' m + k - 1 is 1023, 1024 and 1025, so the
+    # shared FFT length is 2048, twice what the smaller blocks need
     @pytest.mark.parametrize("N", [2, 3, 8, 64, 513, 700])
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
     def test_matvec_matches_dense(self, scheme, N, gamma):
         structure, _ = _structure(scheme, gamma, N)
         A = structure.dense()
-        x = np.random.default_rng(N).standard_normal(len(A))
-        # entries of A x that cancel are only known to the size of their
-        # terms, so the absolute part scales with |A| |x|
-        np.testing.assert_allclose(
-            structure.matvec(x), A @ x, rtol=1e-13,
-            atol=1e-13 * np.max(np.abs(A) @ np.abs(x)))
+        _assert_matvec_matches(structure, A, np.random.default_rng(N))
         assert np.array_equal(structure.diagonal(), np.diag(A))
+
+    @pytest.mark.parametrize("scheme, ffts", [("plc", 1), ("pqc", 2)])
+    def test_one_fft_per_block_column_and_per_block_row(self, scheme, ffts,
+                                                        monkeypatch):
+        structure, _ = _structure(scheme, 0.7, 64)
+        x = np.random.default_rng(0).standard_normal(len(structure.diag))
+        structure.matvec(x)            # computes and caches the spectra
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, name=name, fft=getattr(np.fft, name), **kwargs):
+                calls.append(name)
+                return fft(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        structure.matvec(x)
+        assert sorted(calls) == ["irfft"] * ffts + ["rfft"] * ffts
+
+    @pytest.mark.parametrize("sizes", [(1, 2), (16, 17), (128, 129),
+                                       (299, 300)])
+    def test_matvec_shares_one_fft_length(self, sizes):
+        # the blocks' own m + k - 1 differ, and for (128, 129) they straddle
+        # 256, so the shared length must cover the largest block
+        rng = np.random.default_rng(sum(sizes))
+        for name, structure in _random_grid(rng, sizes, -0.6):
+            _assert_matvec_matches(structure, structure.dense(), rng, name)
 
     @pytest.mark.parametrize("scheme, N", [("plc", 64), ("plc", 512),
                                            ("pqc", 32), ("pqc", 256)])
@@ -457,6 +486,25 @@ def test_check_structure_matches_old_formulas(name, scheme, structure):
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95])
 def test_check_structure_generated_equals_dense(scheme, N, gamma):
     _assert_matches_reference(_structure(scheme, gamma, N)[0])
+
+
+@pytest.mark.parametrize("scheme, N", [(scheme, N) for scheme in sorted(SCHEMES)
+                                       for N in (2, 3, 8, 64, 100, 513, 2048, 4096)
+                                       if (scheme, N) != ("pqc", 4096)])
+def test_row_sums_bitwise_equal_brent_kung_scan(scheme, N, monkeypatch):
+    # the one-cumsum prefix sums give the same rowSums and minRowSlack bits as
+    # a Brent-Kung double-double scan, and the same flags
+    flags = lambda r: (r.diagPositive, r.offDiagNegative, r.symmetric,
+                       r.spdFactorizationOk)
+    for gamma in (0.0, 0.3, 0.5, 0.7, 0.95, 0.99):
+        system = system_of(_structure(scheme, gamma, N)[0])
+        got = solver.check_structure(system)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_prefix_sums", brent_kung_prefix_sums)
+            want = solver.check_structure(system)
+        assert got.rowSums.tobytes() == want.rowSums.tobytes()
+        assert got.minRowSlack.hex() == want.minRowSlack.hex()
+        assert flags(got) == flags(want)
 
 
 def test_check_structure_never_forms_the_matrix(monkeypatch):
