@@ -11,6 +11,8 @@ case and keeps its own shape.  Each row is rounded exactly as that cell
 alone would be.
 """
 
+import math
+
 import numpy as np
 
 
@@ -96,12 +98,18 @@ def piecewise_integral(x: float, points: np.ndarray, samples: np.ndarray,
 
     Cell j spans the p + 1 points p*j .. p*j + p; all cells are integrated
     in one cell_integral call and added left to right (np.sum adds
-    pairwise, which rounds differently).
+    pairwise, which rounds differently).  A total that is not finite (the
+    moments of cells far from 0 overflow) raises FloatingPointError.
     """
     # the lattice indices of each cell, one row per cell
     cells = (degree * np.arange((len(points) - 1) // degree)[:, None]
              + np.arange(degree + 1))
+    with np.errstate(over="ignore", invalid="ignore"):    # raised below
+        values = cell_integral(x, points[cells], samples[cells], gamma)
     total = 0.0
-    for v in cell_integral(x, points[cells], samples[cells], gamma).tolist():
+    for v in values.tolist():
         total += v
+    if not math.isfinite(total):
+        raise FloatingPointError(
+            f"the interpolant integral at x={x!r} is not finite")
     return total

@@ -90,10 +90,9 @@ def _pow(base, e: float):
 # --- Gauss-Jacobi route -----------------------------------------------------
 
 def _recurrence(n: int, beta):
-    """Coefficients (a1, a2, a3, a4) of the three-term recurrence, each a
-    long-double array over k: for P^(0,beta), k = 2..n, and for the
-    (1, beta+1) family of the derivative, k = 2..n-1.  beta is a long
-    double.
+    """Coefficients (a1, a2, a3, a4) of the three-term recurrence
+    a1 P_k = (a2 + a3 t) P_(k-1) - a4 P_(k-2) of P^(0,beta), each a
+    long-double array over k = 2..n.  beta is a long double.
 
     Each element is rounded as in a per-k scalar evaluation (same operation
     order).  0.0 - beta**2 rather than a negation keeps the sign of zero at
@@ -101,67 +100,48 @@ def _recurrence(n: int, beta):
     """
     k = np.arange(2, n + 1, dtype=np.longdouble)
     s = 2.0 * k + beta
-    poly = (2.0 * k * (k + beta) * (s - 2.0),
+    return (2.0 * k * (k + beta) * (s - 2.0),
             (s - 1.0) * (0.0 - beta ** 2),
             (s - 2.0) * (s - 1.0) * s,
             2.0 * (k - 1.0) * (k + beta - 1.0) * s)
-    k = k[:-1]
-    s = 2.0 * k + beta + 2.0
-    deriv = (2.0 * k * (k + beta + 2.0) * (s - 2.0),
-             (s - 1.0) * (1.0 - (beta + 1.0) ** 2),
-             (s - 2.0) * (s - 1.0) * s,
-             2.0 * k * (k + beta) * s)
-    return poly, deriv
 
 
-def _jacobi_poly_and_deriv(n: int, beta, recurrence, x: np.ndarray):
-    """P_n^(0,beta)(x) and its derivative, n >= 1, via the three-term
-    recurrence with the coefficients _recurrence(n, beta)."""
-    poly, deriv = recurrence
-    p_prev = np.ones_like(x)
-    p = 0.5 * (beta + 2.0) * x + 0.5 * (0.0 - beta)
-    for a1, a2, a3, a4 in zip(*poly):
-        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
-    # derivative from the (1, beta+1) family
-    d_prev = np.ones_like(x)
-    d = 0.5 * (beta + 4.0) * x + 0.5 * (0.0 - beta)
-    if n == 1:
-        d = d_prev
-    for a1, a2, a3, a4 in zip(*deriv):
-        d, d_prev = ((a2 + a3 * x) * d - a4 * d_prev) / a1, d
-    return p, 0.5 * (n + beta + 1.0) * d
-
-
-def _gauss_jacobi(n: int, beta: float):
-    """Nodes and weights on [-1, 1] for weight (1+x)^beta.
-
-    Library nodes serve as starting points and are Newton-polished on the
-    recurrence in extended precision (the library values alone drift to
-    ~1e-12 for beta near -1 at larger n); weights come from the closed-form
-    derivative formula.
-    """
-    beta_ld = np.longdouble(beta)
-    recurrence = _recurrence(n, beta_ld)
-    x0, _ = roots_jacobi(n, 0.0, beta)
-    x = x0.astype(np.longdouble)
-    for _ in range(50):
-        p, dp = _jacobi_poly_and_deriv(n, beta_ld, recurrence, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-16:
-            break
-    _, dp = _jacobi_poly_and_deriv(n, beta_ld, recurrence, x)
-    # with alpha = 0 the Gamma factors collapse: C = 2^(beta+1) exactly
-    c = np.longdouble(2.0) ** np.longdouble(beta + 1.0)
-    w = c / ((1.0 - x ** 2) * dp ** 2)
-    return x, w
+def _jacobi_poly_and_deriv(beta, recurrence, t: np.ndarray):
+    """P_n^(0,beta)(t) and P_n'(t), n >= 1, from one pass over the
+    coefficients _recurrence(n, beta): the recurrence and its derivative
+    in t, a1 P'_k = (a2 + a3 t) P'_(k-1) + a3 P_(k-1) - a4 P'_(k-2)."""
+    p_prev, p = np.ones_like(t), 0.5 * (beta + 2.0) * t + 0.5 * (0.0 - beta)
+    d_prev, d = np.zeros_like(t), np.full_like(t, 0.5 * (beta + 2.0))
+    for a1, a2, a3, a4 in zip(*recurrence):
+        c = a2 + a3 * t
+        p, p_prev, d, d_prev = ((c * p - a4 * p_prev) / a1, p,
+                                (c * d + a3 * p - a4 * d_prev) / a1, d)
+    return p, d
 
 
 @functools.cache
 def _gj_rule(n: int, gamma: float):
-    # weight s^(-gamma) on [0, 1]: map the (0, -gamma) Jacobi rule from [-1, 1]
-    t, w = _gauss_jacobi(n, -gamma)
-    return (1.0 + t) / 2.0, w * np.longdouble(2.0) ** (gamma - 1.0)
+    """Nodes and weights, in long double, of the n-point Gauss rule for the
+    weight s^(-gamma) on [0, 1].
+
+    The library's Gauss-Jacobi nodes t of (1+t)^(-gamma) on [-1, 1] are
+    starting points, Newton-polished on the P^(0,-gamma) recurrence in
+    extended precision (the library values alone drift to ~1e-12 for gamma
+    near 1 at larger n).  The rule is s = (1+t)/2, w = 1/((1-t^2) P_n'(t)^2):
+    with alpha = 0 the Gauss-Jacobi constant 2^(1-gamma) and the 2^(gamma-1)
+    of the map to [0, 1] cancel exactly.
+    """
+    beta = np.longdouble(-gamma)
+    recurrence = _recurrence(n, beta)
+    t = roots_jacobi(n, 0.0, -gamma)[0].astype(np.longdouble)
+    for _ in range(50):
+        p, dp = _jacobi_poly_and_deriv(beta, recurrence, t)
+        dt = p / dp
+        t = t - dt
+        if np.max(np.abs(dt)) < 1e-16:
+            break
+    _, dp = _jacobi_poly_and_deriv(beta, recurrence, t)
+    return (1.0 + t) / 2.0, 1.0 / ((1.0 - t ** 2) * dp ** 2)
 
 
 def _sides(a: float, b: float, x: np.ndarray):

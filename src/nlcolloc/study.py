@@ -169,10 +169,12 @@ def _fmt_error(row: StudyRow) -> str:
 
 
 def _fmt_h_markdown(h: float) -> str:
-    """1/k when k*h = 1 to rounding, otherwise h as in the CSV."""
-    k = round(1.0 / h)
-    if math.isclose(k * h, 1.0, rel_tol=1e-12):
-        return f"1/{k}"
+    """1/k when k*h = 1 to rounding, otherwise h as in the CSV (so also
+    where 1/h overflows, as for a subnormal h)."""
+    if math.isfinite(1.0 / h):
+        k = round(1.0 / h)
+        if math.isclose(k * h, 1.0, rel_tol=1e-12):
+            return f"1/{k}"
     return f"{h:.10g}"
 
 

@@ -1,8 +1,11 @@
 """Command-line surface: parsing, exit codes, config files, determinism."""
 
+import itertools
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -223,6 +226,61 @@ def test_overflow_is_a_numerical_failure(command):
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+
+
+@pytest.mark.parametrize("scheme", ["plc", "pqc"])
+def test_non_finite_truncation_error_is_a_numerical_failure(capsys, scheme):
+    # the cell moments (5e292)^(3-gamma) overflow: the rows once read nan,
+    # with numpy's warnings and exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run_cli(
+            capsys, "truncation", "--scheme", scheme, "--gamma", "0",
+            "--levels", "2,4", "--interval=1e300,1.0000001e300",
+            "--function", "const")
+    assert (status, out) == (1, "")
+    assert err == ("error: the interpolant integral at x=1.00000005e+300 "
+                   "is not finite\n")
+
+
+def _sweep_argvs():
+    """Command lines over every command, scheme, gamma, level list, interval
+    and (for the studies) function; the point and format take turns."""
+    intervals = ((0.0, 1.0), (-1.0, 3.0), (0.0, 1e-310), (-3e-320, 3e-320),
+                 (1e300, 1.0000001e300), (0.0, 700.0), (-1e-5, 1e-5))
+    turns = itertools.cycle(itertools.product(("center", "first", "x"),
+                                              ("csv", "markdown")))
+    for command, scheme, gamma, levels, (a, b), function in itertools.product(
+            cli.COMMANDS, ("plc", "pqc"), ("0", "0.3", "0.95"),
+            ("2", "2,4", "8,16"), intervals, tuple(cli._FUNCTIONS)):
+        if command in ("coeffs", "check") and function != "exp":
+            continue                     # they read no function
+        point, fmt = next(turns)
+        if point == "x":
+            point = f"x={a + (b - a) / 3!r}"
+        yield [command, "--scheme", scheme, "--gamma", gamma,
+               "--levels", levels, f"--interval={a!r},{b!r}",
+               "--function", function, "--point", point, "--format", fmt]
+
+
+def test_exit_contract_sweep(capsys):
+    # every call exits 0, 1 or 2 without an exception or a warning, and a
+    # table that exits 0 holds no nan or inf
+    failures = []
+    for argv in _sweep_argvs():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                status, out, _ = run_cli(capsys, *argv)
+            except Exception as exc:
+                status, out = repr(exc), capsys.readouterr().out
+        if status not in (0, 1, 2):
+            failures.append((argv, status))
+        elif caught:
+            failures.append((argv, str(caught[0].message)))
+        elif status == 0 and re.search(r"\b(nan|inf)\b", out):
+            failures.append((argv, "nan or inf in the output"))
+    assert not failures, (len(failures), failures[:5])
 
 
 class TestDeterminismAndIo:

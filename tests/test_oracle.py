@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 import nlcolloc
 from nlcolloc import oracle
@@ -350,53 +351,62 @@ def _ref_recurrence(n, alpha, beta):
     alpha, beta = np.longdouble(alpha), np.longdouble(beta)
     k = np.arange(2, n + 1, dtype=np.longdouble)
     s = 2.0 * k + alpha + beta
-    poly = (2.0 * k * (k + alpha + beta) * (s - 2.0),
+    return (2.0 * k * (k + alpha + beta) * (s - 2.0),
             (s - 1.0) * (alpha ** 2 - beta ** 2),
             (s - 2.0) * (s - 1.0) * s,
             2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s)
-    k = k[:-1]
-    s = 2.0 * k + alpha + beta + 2.0
-    deriv = (2.0 * k * (k + alpha + beta + 2.0) * (s - 2.0),
-             (s - 1.0) * ((alpha + 1.0) ** 2 - (beta + 1.0) ** 2),
-             (s - 2.0) * (s - 1.0) * s,
-             2.0 * (k + alpha) * (k + beta) * s)
-    return poly, deriv
 
 
 def _ref_jacobi_poly_and_deriv(n, alpha, beta, x):
-    poly, deriv = _ref_recurrence(n, alpha, beta)
+    # P_n^(alpha,beta)(x), n >= 1, and P_n' from the recurrence
+    # differentiated in x
+    recurrence = _ref_recurrence(n, alpha, beta)
     alpha, beta = np.longdouble(alpha), np.longdouble(beta)
     p_prev = np.ones_like(x)
     p = 0.5 * (alpha + beta + 2.0) * x + 0.5 * (alpha - beta)
-    if n == 0:
-        p = p_prev
-    for a1, a2, a3, a4 in zip(*poly):
-        p, p_prev = ((a2 + a3 * x) * p - a4 * p_prev) / a1, p
-    if n == 0:
-        return p, np.zeros_like(x)
-    d_prev = np.ones_like(x)
-    d = 0.5 * (alpha + beta + 4.0) * x + 0.5 * (alpha - beta)
-    if n - 1 == 0:
-        d = d_prev
-    for a1, a2, a3, a4 in zip(*deriv):
-        d, d_prev = ((a2 + a3 * x) * d - a4 * d_prev) / a1, d
-    return p, 0.5 * (n + alpha + beta + 1.0) * d
+    d_prev = np.zeros_like(x)
+    d = np.full_like(x, 0.5 * (alpha + beta + 2.0))
+    for a1, a2, a3, a4 in zip(*recurrence):
+        c = a2 + a3 * x
+        p, p_prev, d, d_prev = ((c * p - a4 * p_prev) / a1, p,
+                                (c * d + a3 * p - a4 * d_prev) / a1, d)
+    return p, d
 
 
-def _ref_gj_rule(n, gamma):
-    from scipy.special import roots_jacobi
-
-    beta = -gamma
-    x = roots_jacobi(n, 0.0, beta)[0].astype(np.longdouble)
+def _ref_newton(n, gamma, poly_and_deriv):
+    # roots_jacobi's nodes polished on P_n^(0,-gamma); the nodes and P_n'
+    # at them
+    x = roots_jacobi(n, 0.0, -gamma)[0].astype(np.longdouble)
     for _ in range(50):
-        p, dp = _ref_jacobi_poly_and_deriv(n, 0.0, beta, x)
+        p, dp = poly_and_deriv(x)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < 1e-16:
             break
-    _, dp = _ref_jacobi_poly_and_deriv(n, 0.0, beta, x)
-    c = np.longdouble(2.0) ** np.longdouble(beta + 1.0)
-    w = c / ((1.0 - x ** 2) * dp ** 2)
+    return x, poly_and_deriv(x)[1]
+
+
+def _ref_gj_rule(n, gamma):
+    # with alpha = 0 the weight on [0, 1] is 1/((1-x^2) P_n'^2)
+    x, dp = _ref_newton(
+        n, gamma, lambda x: _ref_jacobi_poly_and_deriv(n, 0.0, -gamma, x))
+    return (1.0 + x) / 2.0, 1.0 / ((1.0 - x ** 2) * dp ** 2)
+
+
+def _family_gj_rule(n, gamma):
+    # the same rule with P_n' from another family and both weight constants:
+    # P_n^(0,beta)' = (n + beta + 1)/2 P_(n-1)^(1,beta+1), C = 2^(beta+1) on
+    # [-1, 1], and 2^(gamma-1) for the map to [0, 1]
+    beta = np.longdouble(-gamma)
+
+    def poly_and_deriv(x):
+        p, _ = _ref_jacobi_poly_and_deriv(n, 0.0, beta, x)
+        family = np.ones_like(x) if n == 1 else _ref_jacobi_poly_and_deriv(
+            n - 1, 1.0, beta + 1.0, x)[0]
+        return p, 0.5 * (n + beta + 1.0) * family
+
+    x, dp = _ref_newton(n, gamma, poly_and_deriv)
+    w = np.longdouble(2.0) ** (beta + 1.0) / ((1.0 - x ** 2) * dp ** 2)
     return (1.0 + x) / 2.0, w * np.longdouble(2.0) ** (gamma - 1.0)
 
 
@@ -414,6 +424,18 @@ def test_gauss_jacobi_rule_bitwise_equals_general_recurrence(n, gamma):
     got = oracle._gj_rule(n, gamma)
     want = _ref_gj_rule(n, gamma)
     assert [_hi_lo(v) for v in got] == [_hi_lo(v) for v in want]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.95, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512])
+def test_gauss_jacobi_weights_match_derivative_family(n, gamma):
+    # P_n' from the (1, beta+1) family has its own rounding: the Newton
+    # steps end on the same nodes, and the weights agree to a few ulps
+    # (measured worst 3.9e-15)
+    s, w = oracle._gj_rule(n, gamma)
+    s_ref, w_ref = _family_gj_rule(n, gamma)
+    assert _hi_lo(s) == _hi_lo(s_ref)
+    assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-14
 
 
 def _peak_bytes(fn):

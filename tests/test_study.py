@@ -162,10 +162,12 @@ class TestEmission:
         ((-1.0, 3.0), ["1/2", "1/4"]),
         ((0.0, 3.0), ["0.375", "0.1875"]),
         ((0.0, 10.0), ["1.25", "0.625"]),
+        ((0.0, 1e-310), ["1.25e-311", "6.25e-312"]),
     ])
     def test_markdown_h_column(self, interval, want):
         # 1/k only where k*h = 1; the (0, 3) and (0, 10) rows once printed
-        # 1/3, 1/5 and 1/1.25, 1/2
+        # 1/3, 1/5 and 1/1.25, 1/2, and a subnormal h, whose 1/h is
+        # infinite, raised OverflowError
         rows = tuple(StudyRow(N, UniformGrid(*interval, N).h, 1e-3, None)
                      for N in (8, 16))
         report = StudyReport(rows=rows, label="max-norm error", metadata={})
