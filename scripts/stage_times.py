@@ -5,7 +5,7 @@ evaluation, untraced.
 Usage: OPENBLAS_NUM_THREADS=1 python scripts/stage_times.py [gamma] [repeats]
 
 For PLC N=4096 and PQC N=2048 (n = 4095 unknowns each, u = e^x on (0, 1),
-oracle tolerance study.ORACLE_TOL) prints the wall time in ms of each stage:
+oracle tolerance oracle.ORACLE_TOL) prints the wall time in ms of each stage:
 weight tables, right-hand side, assemble (its own weight tables included),
 solve_dense and check_structure.  Each stage shows the median over the
 repeats and, after a slash, the first repeat: the first repeat of a case
@@ -31,7 +31,7 @@ import tracemalloc
 
 from nlcolloc import oracle, solver
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.study import ORACLE_TOL, SCHEMES
+from nlcolloc.study import SCHEMES
 
 CASES = (("plc", 4096), ("pqc", 2048))
 TRUNCATION_N = 512
@@ -43,7 +43,7 @@ def stages(scheme, params, grid):
     SCHEMES[scheme].weights(params, grid)
     t.append(time.perf_counter())
     problem = oracle.exact_nonlocal_rhs(oracle.exponential(), grid, params,
-                                        nodes=scheme, tol=ORACLE_TOL)
+                                        nodes=scheme)
     t.append(time.perf_counter())
     system = SCHEMES[scheme].assemble(params, grid, problem)
     t.append(time.perf_counter())
@@ -56,7 +56,7 @@ def stages(scheme, params, grid):
 
 def peak_mb(scheme, params, grid):
     problem = oracle.exact_nonlocal_rhs(oracle.exponential(), grid, params,
-                                        nodes=scheme, tol=ORACLE_TOL)
+                                        nodes=scheme)
     tracemalloc.start()
     system = SCHEMES[scheme].assemble(params, grid, problem)
     solver.solve_dense(system)
@@ -74,7 +74,7 @@ def truncation_stages(scheme, params, grid, x):
     t0 = time.perf_counter()
     SCHEMES[scheme].interpolant_integral(params, grid, samples, x)
     t1 = time.perf_counter()
-    oracle.singular_integral(u, (grid.a, grid.b), params, x, tol=ORACLE_TOL)
+    oracle.singular_integral(u, (grid.a, grid.b), params, x)
     return t1 - t0, time.perf_counter() - t1
 
 

@@ -155,11 +155,10 @@ def parse_args(argv) -> argparse.Namespace:
     config = pre.parse_known_args(argv)[0].config
     args = parser.parse_args(
         (_config_args(config, parser) if config else []) + argv)
-    for N in args.levels:
-        try:                     # the grid's rules: finite h, distinct nodes
-            UniformGrid(*args.interval, N)
-        except ValueError as exc:
-            raise UsageError(f"--interval: {exc}") from None
+    try:                         # the grid's rules: finite h, distinct nodes
+        args.grids = [UniformGrid(*args.interval, N) for N in args.levels]
+    except ValueError as exc:
+        raise UsageError(f"--interval: {exc}") from None
     args.point = _parse_point(args.point, args.interval)
     if args.command in ("truncation", "converge"):
         try:                     # the study's rules: the levels must nest
@@ -181,13 +180,13 @@ _TABLE_NAMES = {"gammaB": "gamma", "dHalf": "d_half"}
 
 def _cmd_coeffs(opt) -> str:
     params = KernelParams(opt.gamma)
-    a, b = opt.interval
     scheme = study.SCHEMES[opt.scheme]
     out = []
-    for N in opt.levels:
-        c = scheme.weights(params, UniformGrid(a, b, N))
+    for grid in opt.grids:
+        c = scheme.weights(params, grid)
         scale, *tables = (f.name for f in fields(c))   # scaling factor first
-        out.append(f"# scheme = {opt.scheme}, gamma = {opt.gamma:g}, N = {N}")
+        out.append(f"# scheme = {opt.scheme}, gamma = {opt.gamma:g}, "
+                   f"N = {grid.N}")
         out.append(f"{scale} = {getattr(c, scale):.17g}")
         for name in tables:
             out.append(f"[{_TABLE_NAMES.get(name, name)}]")
@@ -209,15 +208,13 @@ def _fmt_value(v) -> str:
 
 def _cmd_check(opt) -> str:
     params = KernelParams(opt.gamma)
-    a, b = opt.interval
     scheme = study.SCHEMES[opt.scheme]
     out = []
-    for N in opt.levels:
-        grid = UniformGrid(a, b, N)
+    for grid in opt.grids:
         op = scheme.structure(scheme.weights(params, grid))
         report = solver.check_structure(CollocationSystem(
             operator=op, rhs=np.zeros(len(op.diag)), nodes=scheme.nodes(grid)))
-        out.append(f"N = {N}")
+        out.append(f"N = {grid.N}")
         for name, value in (
                 ("diagPositive", report.diagPositive),
                 ("offDiagNegative", report.offDiagNegative),

@@ -21,7 +21,7 @@ MAX_CELLS = 8192
 _LD = np.longdouble
 
 
-def _check(params: KernelParams, grid: UniformGrid) -> None:
+def _check(grid: UniformGrid) -> None:
     if grid.N > MAX_CELLS:
         raise ValueError(f"N={grid.N} exceeds supported maximum {MAX_CELLS}")
 
@@ -59,7 +59,7 @@ class PlcCoeffs:
 
 
 def plc_weights(params: KernelParams, grid: UniformGrid) -> PlcCoeffs:
-    _check(params, grid)
+    _check(grid)
     gam, N = params.gamma, grid.N
     e = 2 - _LD(gam)
     P2, P1 = _powers(N, gam, (2, 1))      # j^(2-gamma), j^(1-gamma)
@@ -129,7 +129,7 @@ class PqcCoeffs:
 
 
 def pqc_weights(params: KernelParams, grid: UniformGrid) -> PqcCoeffs:
-    _check(params, grid)
+    _check(grid)
     gam, N = params.gamma, grid.N
     g = _LD(gam)
     H3, H2, H1 = _powers(2 * N - 1, gam, (3, 2, 1), halves=True)

@@ -97,18 +97,19 @@ def piecewise_integral(x: float, points: np.ndarray, samples: np.ndarray,
     given degree p that interpolates samples at the lattice points.
 
     Cell j spans the p + 1 points p*j .. p*j + p; all cells are integrated
-    in one cell_integral call and added left to right (np.sum adds
-    pairwise, which rounds differently).  A total that is not finite (the
+    in one cell_integral call and added strictly left to right by cumsum
+    (np.sum adds pairwise, which rounds differently).  A sample count other
+    than len(points) raises ValueError; a total that is not finite (the
     moments of cells far from 0 overflow) raises FloatingPointError.
     """
+    if len(samples) != len(points):
+        raise ValueError(f"expected {len(points)} samples, got {len(samples)}")
     # the lattice indices of each cell, one row per cell
     cells = (degree * np.arange((len(points) - 1) // degree)[:, None]
              + np.arange(degree + 1))
     with np.errstate(over="ignore", invalid="ignore"):    # raised below
         values = cell_integral(x, points[cells], samples[cells], gamma)
-    total = 0.0
-    for v in values.tolist():
-        total += v
+        total = float(np.cumsum(values)[-1])
     if not math.isfinite(total):
         raise FloatingPointError(
             f"the interpolant integral at x={x!r} is not finite")

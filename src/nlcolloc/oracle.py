@@ -18,6 +18,9 @@ from .grid import KernelParams, UniformGrid
 
 MAX_NODES_PER_SIDE = 4096
 
+# Absolute tolerance of every oracle value: the default of every tol argument.
+ORACLE_TOL = 1e-13
+
 
 class OracleError(RuntimeError):
     """Reference integration failed to converge or cross-validate."""
@@ -244,7 +247,7 @@ def _lattice_sides(a: float, b: float, gamma: float, xs: np.ndarray,
 
 
 def singular_integrals(u: TestFunction, interval, params: KernelParams,
-                       xs, tol: float = 1e-12) -> np.ndarray:
+                       xs, tol: float = ORACLE_TOL) -> np.ndarray:
     """I(a, b, x) = int_a^b u(y) |x - y|^(-gamma) dy at every x of the 1-D
     array xs, each to absolute error <= tol.
 
@@ -320,7 +323,7 @@ def _singular_integrals(u: TestFunction, interval, params: KernelParams,
 
 
 def singular_integral(u: TestFunction, interval, params: KernelParams,
-                      x: float, tol: float = 1e-12) -> float:
+                      x: float, tol: float = ORACLE_TOL) -> float:
     """I(a, b, x) at one point x; see singular_integrals."""
     return float(singular_integrals(u, interval, params, np.array([x]), tol)[0])
 
@@ -377,7 +380,7 @@ class ManufacturedProblem:
 
 def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
                        params: KernelParams, nodes: str = "plc",
-                       tol: float = 1e-12) -> ManufacturedProblem:
+                       tol: float = ORACLE_TOL) -> ManufacturedProblem:
     """Manufacture f for the nonlocal equation at the requested node set."""
     p = {"plc": 1, "pqc": 2}.get(nodes)      # the lattice step is h/p
     if p is None:

@@ -4,7 +4,8 @@ import numpy as np
 
 from . import coeffs, moments
 from .grid import KernelParams, UniformGrid
-from .oracle import ManufacturedProblem, TestFunction, singular_integral
+from .oracle import (ORACLE_TOL, ManufacturedProblem, TestFunction,
+                     singular_integral)
 from .solver import CollocationSystem, ToeplitzStructure
 
 
@@ -57,7 +58,7 @@ def interpolant_integral(params: KernelParams, grid: UniformGrid,
 
 
 def truncation_error(params: KernelParams, grid: UniformGrid, u: TestFunction,
-                     x: float, tol: float = 1e-14) -> float:
+                     x: float, tol: float = ORACLE_TOL) -> float:
     """|I(a,b,x) - I_1(a,b,x)| against the quadrature oracle."""
     # the oracle first: where u overflows it raises before the samples warn
     exact = singular_integral(u, (grid.a, grid.b), params, x, tol)

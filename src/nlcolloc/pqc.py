@@ -8,7 +8,8 @@ import numpy as np
 
 from . import coeffs, moments
 from .grid import KernelParams, UniformGrid
-from .oracle import ManufacturedProblem, TestFunction, singular_integral
+from .oracle import (ORACLE_TOL, ManufacturedProblem, TestFunction,
+                     singular_integral)
 from .solver import CollocationSystem, ToeplitzStructure
 
 
@@ -82,8 +83,8 @@ def interpolant_integral(params: KernelParams, grid: UniformGrid,
                                       params.gamma)
 
 
-def pqc_truncation_at(params: KernelParams, grid: UniformGrid,
-                      u: TestFunction, x: float, tol: float = 1e-14) -> float:
+def pqc_truncation_at(params: KernelParams, grid: UniformGrid, u: TestFunction,
+                      x: float, tol: float = ORACLE_TOL) -> float:
     """|I(a,b,x) - I_2(a,b,x)| against the quadrature oracle.
 
     x may be a collocation node (junction) or any interior point.

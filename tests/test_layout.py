@@ -1,5 +1,6 @@
-"""Source layout: no module imports a name it never uses, and the library
-imports no third-party module besides the ones it runs on.
+"""Source layout: no module imports a name it never uses, no function has
+a parameter it never reads, and the library imports no third-party module
+besides the ones it runs on.
 
 The environment has no linter; these are the lint rules the package keeps,
 so that deleting code also deletes the imports only it needed.
@@ -13,8 +14,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "nlcolloc").glob("*.py"))
-MODULES = sorted([*LIBRARY, *(ROOT / "scripts").glob("*.py"),
-                  ROOT / "tests" / "reference.py"])
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+MODULES = sorted([*LIBRARY, *SCRIPTS, ROOT / "tests" / "reference.py"])
 # what the library runs on; scipy.integrate and the rest serve only tests
 THIRD_PARTY = ("numpy", "scipy.linalg", "scipy.special")
 
@@ -57,6 +58,32 @@ def test_no_unused_imports(path):
               for name, line in imported_names(tree).items()
               if name not in used]
     assert not unused
+
+
+def unread_parameters(tree):
+    """(line, function, parameter) for each parameter, self and cls aside,
+    that its function's body never reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from ((node.lineno, getattr(node, "name", "<lambda>"), p)
+                        for p in params
+                        if p not in read and p not in ("self", "cls"))
+
+
+@pytest.mark.parametrize("path", [*LIBRARY, *SCRIPTS], ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = [f"{path.name}:{line} {function}({param})"
+              for line, function, param in unread_parameters(tree)]
+    assert not unread
 
 
 def imported_modules(tree):

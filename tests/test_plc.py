@@ -56,9 +56,13 @@ def test_weight_and_moment_routes_agree_at_junctions():
 
 class TestValidation:
     def test_sample_count(self):
-        _, _, c = scheme_for(0.5, 8)
+        params, grid, c = scheme_for(0.5, 8)
         with pytest.raises(ValueError, match="samples"):
             plc.rule(c, np.ones(8))
+        for n in (8, 10):             # lattice(grid) has 9 points
+            with pytest.raises(ValueError,
+                               match=f"expected 9 samples, got {n}"):
+                plc.interpolant_integral(params, grid, np.ones(n), 0.3)
 
     def test_eval_point_inside(self):
         params, grid, _ = scheme_for(0.5, 8)

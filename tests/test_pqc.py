@@ -55,9 +55,13 @@ def test_weight_and_moment_routes_agree_at_all_rows():
 
 class TestValidation:
     def test_sample_counts(self):
-        _, _, c = scheme_for(0.5, 8)
+        params, grid, c = scheme_for(0.5, 8)
         with pytest.raises(ValueError, match="samples"):
             pqc.rule(c, np.ones(9))
+        for n in (16, 18):            # lattice(grid) has 17 points
+            with pytest.raises(ValueError,
+                               match=f"expected 17 samples, got {n}"):
+                pqc.interpolant_integral(params, grid, np.ones(n), 0.3)
 
 
 class TestTruncation:

@@ -1,6 +1,7 @@
 """Experiment driver: order fitting, table emission, study execution."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import nlcolloc
-from nlcolloc import coeffs, study
+from nlcolloc import coeffs, oracle, plc, pqc, study
 from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.oracle import constant, exact_nonlocal_rhs, exponential, monomial
 from nlcolloc.study import StudyConfig, StudyReport, StudyRow
@@ -193,12 +194,36 @@ def test_scheme_interface_and_traced_names_resolve():
     spec.loader.exec_module(child)
     pairs = list(child.LAYERS) + list(child.COUNTED)
     assert pairs
-    for module, function in pairs:
-        assert callable(getattr(getattr(nlcolloc, module), function)), \
-            f"nlcolloc.{module}.{function}"
+    traced = [getattr(getattr(nlcolloc, module), function)
+              for module, function in pairs]
+    for (module, function), value in zip(pairs, traced):
+        assert callable(value), f"nlcolloc.{module}.{function}"
+    # the tracer wraps each listed function once; two names for one function
+    # would wrap it twice and count its calls twice
+    assert len({id(f) for f in traced}) == len(traced)
+    # the benchmark's manufactured right-hand sides use the tables' accuracy
+    assert child.ORACLE_TOL == oracle.ORACLE_TOL
     for definition in study.SCHEMES.values():
         for function in ("weights", "structure", "boundary", "lattice",
                          "nodes", "rule", "interpolant_integral", "assemble",
                          "truncation"):
             assert callable(getattr(definition, function)), \
                 f"{definition.__name__}.{function}"
+
+
+def test_every_oracle_tolerance_defaults_to_the_oracles():
+    # the oracle's accuracy is stated once, in oracle.py; a library call
+    # with defaults gets the accuracy the tables use
+    for function in (oracle.singular_integrals, oracle.singular_integral,
+                     oracle.exact_nonlocal_rhs, plc.truncation_error,
+                     pqc.pqc_truncation_at):
+        default = inspect.signature(function).parameters["tol"].default
+        assert default is oracle.ORACLE_TOL, function.__name__
+    assert not hasattr(study, "ORACLE_TOL")
+
+
+def test_float_eval_point_outside_the_interval_rejected():
+    # the study passes a float point on as-is; the oracle rejects it
+    config = StudyConfig("plc", 0.5, (8,), evalPoints=(1.5,))
+    with pytest.raises(ValueError, match="strictly inside"):
+        study.run_truncation_study(config)
