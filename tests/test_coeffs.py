@@ -289,3 +289,16 @@ def test_single_closed_forms_bitwise_equal_per_element_forms(gamma):
     assert plc_tables(gamma, 102).g[k].tobytes() == \
         _ref_plc_interior(k, gamma).tobytes()
     assert pqc_tables(gamma, 2).p[0] == _ref_pqc_p0(gamma)
+
+
+def test_one_evaluation_per_pqc_family(monkeypatch):
+    # each family is read at integer and at half indices; both come from
+    # one call over the doubled index
+    calls = []
+    for name in ("_pqc_m", "_pqc_q", "_pqc_beta"):
+        def counted(*args, name=name, family=getattr(coeffs, name)):
+            calls.append(name)
+            return family(*args)
+        monkeypatch.setattr(coeffs, name, counted)
+    coeffs.pqc_weights(KernelParams(0.7), UniformGrid(0.0, 1.0, 64))
+    assert sorted(calls) == ["_pqc_beta", "_pqc_m", "_pqc_q"]

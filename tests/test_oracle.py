@@ -176,7 +176,7 @@ def _scalar_singular_integral(u, interval, params, x, tol=1e-12):
     if u.kind == "exp":
         ref = math.exp(x) * (_scalar_exp_power_series(x - a, -1.0, gamma, tol)
                              + _scalar_exp_power_series(b - x, +1.0, gamma, tol))
-        if abs(cur - ref) > 100.0 * tol:
+        if abs(cur - ref) > 100.0 * tol + 2e-14 * abs(ref):
             raise OracleError("Gauss-Jacobi and series disagree")
         return ref
     return cur
@@ -319,6 +319,20 @@ class TestBatchedFailures:
         monkeypatch.setattr(oracle, "_exp_power_series", off_at_one_point)
         with pytest.raises(OracleError, match=r"disagree at x=0\.6"):
             singular_integrals(u, (0.0, 1.0), params, xs)
+
+    def test_series_gate_scales_with_the_integral(self):
+        # I is about 1.9e4 here: the two routes differ by 1.3e-11, a few
+        # ulps of I, which an absolute 100*tol gate alone takes for a
+        # disagreement on the arbitrary-point route but not on the lattice
+        params, grid = KernelParams(0.99), UniformGrid(2.0, 7.0, 2)
+        xs = grid.lattice(1)[1:-1]
+        value = singular_integrals(exponential(), (2.0, 7.0), params, xs)
+        assert value.tobytes() == oracle._exp_integral_series(
+            2.0, 7.0, 0.99, xs, oracle.ORACLE_TOL).tobytes()
+        problem = exact_nonlocal_rhs(exponential(), grid, params)
+        assert problem.fValues.tobytes() == (
+            np.exp(xs) * kernel_row_integral(2.0, 7.0, 0.99, xs)
+            - value).tobytes()
 
     def test_endpoint_among_points_rejected(self):
         xs = np.array([0.25, 0.5, 1.0])
