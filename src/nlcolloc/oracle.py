@@ -12,7 +12,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy import linalg
 
 from .grid import KernelParams, UniformGrid
 
@@ -109,14 +109,15 @@ def _recurrence(n: int, beta):
             2.0 * (k - 1.0) * (k + beta - 1.0) * s)
 
 
-def _jacobi_poly_and_deriv(beta, recurrence, t: np.ndarray):
-    """P_n^(0,beta)(t) and P_n'(t), n >= 1, from one pass over the
-    coefficients _recurrence(n, beta): the recurrence and its derivative
-    in t, a1 P'_k = (a2 + a3 t) P'_(k-1) + a3 P_(k-1) - a4 P'_(k-2)."""
-    p_prev, p = np.ones_like(t), 0.5 * (beta + 2.0) * t + 0.5 * (0.0 - beta)
-    d_prev, d = np.zeros_like(t), np.full_like(t, 0.5 * (beta + 2.0))
+def _jacobi_poly_and_deriv(beta, recurrence, x: np.ndarray, left):
+    """P_n^(0,beta)(t) and P_n'(t), n >= 1, at t = x - 1 where left and t = x
+    elsewhere, from one pass over _recurrence(n, beta) and its derivative in
+    t, a1 P'_k = (a2 + a3 t) P'_(k-1) + a3 P_(k-1) - a4 P'_(k-2)."""
+    p_prev, p = np.ones_like(x), 0.5 * (beta + 2.0) * x + np.where(
+        left, -1.0 - beta, 0.5 * (0.0 - beta))
+    d_prev, d = np.zeros_like(x), np.full_like(x, 0.5 * (beta + 2.0))
     for a1, a2, a3, a4 in zip(*recurrence):
-        c = a2 + a3 * t
+        c = np.where(left, a2 - a3, a2) + a3 * x
         p, p_prev, d, d_prev = ((c * p - a4 * p_prev) / a1, p,
                                 (c * d + a3 * p - a4 * d_prev) / a1, d)
     return p, d
@@ -127,24 +128,33 @@ def _gj_rule(n: int, gamma: float):
     """Nodes and weights, in long double, of the n-point Gauss rule for the
     weight s^(-gamma) on [0, 1].
 
-    The library's Gauss-Jacobi nodes t of (1+t)^(-gamma) on [-1, 1] are
-    starting points, Newton-polished on the P^(0,-gamma) recurrence in
-    extended precision (the library values alone drift to ~1e-12 for gamma
-    near 1 at larger n).  The rule is s = (1+t)/2, w = 1/((1-t^2) P_n'(t)^2):
-    with alpha = 0 the Gauss-Jacobi constant 2^(1-gamma) and the 2^(gamma-1)
-    of the map to [0, 1] cancel exactly.
+    The nodes t of P_n^(0,-gamma): the recurrence's Jacobi-matrix eigenvalues
+    (Golub-Welsch), Newton-polished on the recurrence in extended precision
+    and in 1 + t where t < -1/2, since t itself loses those digits near -1.
+    The rule is s = (1+t)/2, w = 1/((1-t^2) P_n'(t)^2): with alpha = 0 the
+    constant 2^(1-gamma) and the map's 2^(gamma-1) cancel exactly.
     """
+    if n > MAX_NODES_PER_SIDE:
+        raise OracleError(f"{n} Gauss-Jacobi nodes exceed {MAX_NODES_PER_SIDE}")
     beta = np.longdouble(-gamma)
-    recurrence = _recurrence(n, beta)
-    t = roots_jacobi(n, 0.0, -gamma)[0].astype(np.longdouble)
-    for _ in range(50):
-        p, dp = _jacobi_poly_and_deriv(beta, recurrence, t)
-        dt = p / dp
-        t = t - dt
-        if np.max(np.abs(dt)) < 1e-16:
+    recurrence = a1, a2, a3, a4 = _recurrence(n, beta)
+    diagonal = np.append(beta / (beta + 2.0), -a2 / a3)
+    upper = np.append(2.0 / (beta + 2.0), a1 / a3)[:n - 1]
+    t = linalg.eigvalsh_tridiagonal(diagonal.astype(float),
+                                    np.sqrt(upper * a4 / a3).astype(float))
+    left = t < -0.5
+    x = np.where(left, 1.0 + t, t).astype(np.longdouble)
+    for _ in range(3):
+        p, dp = _jacobi_poly_and_deriv(beta, recurrence, x, left)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-16:
             break
-    _, dp = _jacobi_poly_and_deriv(beta, recurrence, t)
-    return (1.0 + t) / 2.0, 1.0 / ((1.0 - t ** 2) * dp ** 2)
+    d, e = np.where(left, x, 1.0 + x), np.where(left, 2.0 - x, 1.0 - x)
+    # the last step's P_n', moved to the polished t: where P_n = 0, the Jacobi
+    # equation gives P''/P' = ((beta+2) t - beta)/(1 - t^2)
+    dp = dp * (1.0 - dx * ((beta + 2.0) * (d - 1.0) - beta) / (d * e))
+    return d / 2.0, 1.0 / (d * e * dp ** 2)
 
 
 def _sides(a: float, b: float, x: np.ndarray):

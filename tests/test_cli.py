@@ -377,15 +377,13 @@ class TestDeterminismAndIo:
         assert done.stdout == out_flags
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "scipy.special seeds the Gauss-Jacobi nodes and scipy.linalg runs the "
-    "LU solve and the Cholesky check: ROADMAP item 3 takes them off the "
-    "path, its numpy LU after item 6, and item 10 then makes numpy the "
-    "only runtime dependency"))
-def test_cli_commands_load_no_scipy():
+@pytest.fixture(scope="module")
+def scipy_after_cli_commands():
+    """The scipy modules loaded after importing nlcolloc and running each
+    CLI command once, in a fresh interpreter."""
     code = ("import contextlib, io, sys\n"
             "from nlcolloc import cli\n"
-            "for command in ('coeffs', 'check', 'truncation', 'converge'):\n"
+            "for command in cli.COMMANDS:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        status = cli.main([command, '--scheme', 'pqc', "
             "'--gamma', '0.7', '--levels', '8,16'])\n"
@@ -397,4 +395,18 @@ def test_cli_commands_load_no_scipy():
                           capture_output=True, text=True, timeout=120)
     if done.returncode != 0:
         pytest.fail(f"the commands did not run:\n{done.stderr}")
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_cli_commands_load_no_scipy_special(scipy_after_cli_commands):
+    # the Gauss-Jacobi seeds are scipy.linalg's tridiagonal eigenvalues
+    assert [m for m in scipy_after_cli_commands
+            if m.split(".")[:2] == ["scipy", "special"]] == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "only scipy.linalg is left, for the LU solve, the Cholesky check and "
+    "the Gauss-Jacobi seeds' eigenvalues: ROADMAP item 6 lets numpy's LU "
+    "replace it, and item 10 then makes numpy the only runtime dependency"))
+def test_cli_commands_load_no_scipy(scipy_after_cli_commands):
+    assert scipy_after_cli_commands == []

@@ -17,7 +17,7 @@ LIBRARY = sorted((ROOT / "src" / "nlcolloc").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 MODULES = sorted([*LIBRARY, *SCRIPTS, ROOT / "tests" / "reference.py"])
 # what the library runs on; scipy.integrate and the rest serve only tests
-THIRD_PARTY = ("numpy", "scipy.linalg", "scipy.special")
+THIRD_PARTY = ("numpy", "scipy.linalg")
 
 
 def imported_names(tree):

@@ -6,11 +6,13 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 from scipy.special import roots_jacobi
 
 import nlcolloc
@@ -371,40 +373,51 @@ def _ref_recurrence(n, alpha, beta):
             2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s)
 
 
-def _ref_jacobi_poly_and_deriv(n, alpha, beta, x):
-    # P_n^(alpha,beta)(x), n >= 1, and P_n' from the recurrence
-    # differentiated in x
+def _ref_jacobi_poly_and_deriv(n, alpha, beta, x, left):
+    # P_n^(alpha,beta)(t), n >= 1, and P_n' from the recurrence
+    # differentiated in t, at t = x - 1 where left and t = x elsewhere
     recurrence = _ref_recurrence(n, alpha, beta)
     alpha, beta = np.longdouble(alpha), np.longdouble(beta)
     p_prev = np.ones_like(x)
-    p = 0.5 * (alpha + beta + 2.0) * x + 0.5 * (alpha - beta)
+    p = 0.5 * (alpha + beta + 2.0) * x + np.where(left, -1.0 - beta,
+                                                  0.5 * (alpha - beta))
     d_prev = np.zeros_like(x)
     d = np.full_like(x, 0.5 * (alpha + beta + 2.0))
     for a1, a2, a3, a4 in zip(*recurrence):
-        c = a2 + a3 * x
+        c = np.where(left, a2 - a3, a2) + a3 * x
         p, p_prev, d, d_prev = ((c * p - a4 * p_prev) / a1, p,
                                 (c * d + a3 * p - a4 * d_prev) / a1, d)
     return p, d
 
 
 def _ref_newton(n, gamma, poly_and_deriv):
-    # roots_jacobi's nodes polished on P_n^(0,-gamma); the nodes and P_n'
-    # at them
-    x = roots_jacobi(n, 0.0, -gamma)[0].astype(np.longdouble)
-    for _ in range(50):
-        p, dp = poly_and_deriv(x)
+    # the eigenvalues of the symmetrised Jacobi matrix of P_n^(0,-gamma),
+    # polished on it in x = 1 + t where t < -1/2 and in x = t elsewhere;
+    # 1 + t, 1 - t and P_n' at the nodes, the last step's P_n' moved there
+    # by P''/P' = ((beta+2) t - beta)/(1 - t^2) where P_n = 0
+    beta = np.longdouble(-gamma)
+    a1, a2, a3, a4 = _ref_recurrence(n, 0.0, beta)
+    diagonal = np.append(beta / (beta + 2.0), -a2 / a3)
+    upper = np.append(2.0 / (beta + 2.0), a1 / a3)[:n - 1]
+    t = linalg.eigvalsh_tridiagonal(diagonal.astype(float),
+                                    np.sqrt(upper * a4 / a3).astype(float))
+    left = t < -0.5
+    x = np.where(left, 1.0 + t, t).astype(np.longdouble)
+    for _ in range(3):
+        p, dp = poly_and_deriv(x, left)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < 1e-16:
             break
-    return x, poly_and_deriv(x)[1]
+    d, e = np.where(left, x, 1.0 + x), np.where(left, 2.0 - x, 1.0 - x)
+    return d, e, dp * (1.0 - dx * ((beta + 2.0) * (d - 1.0) - beta) / (d * e))
 
 
 def _ref_gj_rule(n, gamma):
-    # with alpha = 0 the weight on [0, 1] is 1/((1-x^2) P_n'^2)
-    x, dp = _ref_newton(
-        n, gamma, lambda x: _ref_jacobi_poly_and_deriv(n, 0.0, -gamma, x))
-    return (1.0 + x) / 2.0, 1.0 / ((1.0 - x ** 2) * dp ** 2)
+    # with alpha = 0 the weight on [0, 1] is 1/((1-t^2) P_n'^2)
+    d, e, dp = _ref_newton(n, gamma, lambda x, left: _ref_jacobi_poly_and_deriv(
+        n, 0.0, -gamma, x, left))
+    return d / 2.0, 1.0 / (d * e * dp ** 2)
 
 
 def _family_gj_rule(n, gamma):
@@ -413,15 +426,15 @@ def _family_gj_rule(n, gamma):
     # [-1, 1], and 2^(gamma-1) for the map to [0, 1]
     beta = np.longdouble(-gamma)
 
-    def poly_and_deriv(x):
-        p, _ = _ref_jacobi_poly_and_deriv(n, 0.0, beta, x)
+    def poly_and_deriv(x, left):
+        p, _ = _ref_jacobi_poly_and_deriv(n, 0.0, beta, x, left)
         family = np.ones_like(x) if n == 1 else _ref_jacobi_poly_and_deriv(
-            n - 1, 1.0, beta + 1.0, x)[0]
+            n - 1, 1.0, beta + 1.0, x, left)[0]
         return p, 0.5 * (n + beta + 1.0) * family
 
-    x, dp = _ref_newton(n, gamma, poly_and_deriv)
-    w = np.longdouble(2.0) ** (beta + 1.0) / ((1.0 - x ** 2) * dp ** 2)
-    return (1.0 + x) / 2.0, w * np.longdouble(2.0) ** (gamma - 1.0)
+    d, e, dp = _ref_newton(n, gamma, poly_and_deriv)
+    w = np.longdouble(2.0) ** (beta + 1.0) / (d * e * dp ** 2)
+    return d / 2.0, w * np.longdouble(2.0) ** (gamma - 1.0)
 
 
 def _hi_lo(values):
@@ -445,11 +458,76 @@ def test_gauss_jacobi_rule_bitwise_equals_general_recurrence(n, gamma):
 def test_gauss_jacobi_weights_match_derivative_family(n, gamma):
     # P_n' from the (1, beta+1) family has its own rounding: the Newton
     # steps end on the same nodes, and the weights agree to a few ulps
-    # (measured worst 3.9e-15)
+    # (measured worst 2.2e-15)
     s, w = oracle._gj_rule(n, gamma)
     s_ref, w_ref = _family_gj_rule(n, gamma)
     assert _hi_lo(s) == _hi_lo(s_ref)
     assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-14
+
+
+def _mp_rule_errors(mp, n, gamma):
+    # relative errors of s (as hi + lo) and of w against 40-digit values
+    # from mpmath's hypergeometric P_n^(0,-gamma), independent of the
+    # recurrence: one Newton step from each node, with P'' from the Jacobi
+    # equation (1-t^2) P'' = ((beta+2) t - beta) P' - n (n+beta+1) P
+    s, w = oracle._gj_rule(n, gamma)
+    beta = -mp.mpf(gamma)
+
+    def jacobi(k, alpha, t):     # P_k^(alpha, beta+alpha)(t)
+        return mp.jacobi(k, alpha, beta + alpha, t, zeroprec=400) if k else 1
+
+    def exact(v):
+        hi = float(v)
+        return mp.mpf(hi) + mp.mpf(float(v - np.longdouble(hi)))
+
+    err_s, err_w = [], []
+    with mp.workdps(40):
+        for s_k, w_k in zip(map(exact, s), map(exact, w)):
+            t = 2 * s_k - 1
+            p, dp = jacobi(n, 0, t), (n + beta + 1) / 2 * jacobi(n - 1, 1, t)
+            ddp = (((beta + 2) * t - beta) * dp - n * (n + beta + 1) * p) \
+                / (1 - t * t)
+            step = p / dp
+            t, dp = t - step, dp - ddp * step
+            err_s.append(abs(s_k / ((1 + t) / 2) - 1))
+            err_w.append(abs(w_k * (1 - t) * (1 + t) * dp ** 2 - 1))
+    return float(max(err_s)), float(max(err_w))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.9, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 256])
+def test_gauss_jacobi_rule_against_mpmath(n, gamma):
+    # Measured worst over these cases: 6.3e-18 at n = 8, 1.5e-16 at n = 64,
+    # 5.1e-15 at n = 256 (s and w alike, at the node nearest t = -1), about
+    # 8e-20 n^2.  The bound rejects nodes polished in t near -1: from
+    # roots_jacobi's seeds they read up to 3.4e-15 at n = 64 and 4.6e-14
+    # at n = 256.
+    mp = pytest.importorskip("mpmath")
+    bound = 2e-19 * n ** 2 + 1e-17
+    err_s, err_w = _mp_rule_errors(mp, n, gamma)
+    assert err_s <= bound and err_w <= bound, (err_s, err_w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64, 100, 256, 512])
+def test_gauss_jacobi_seeds_match_scipy_roots(monkeypatch, n):
+    # the Jacobi-matrix eigenvalues that seed the Newton polish are
+    # scipy.special.roots_jacobi's nodes to float64 roundoff (measured
+    # worst 8.25 eps, at n = 512)
+    seeds = []
+    monkeypatch.setattr(oracle, "linalg", SimpleNamespace(
+        eigvalsh_tridiagonal=lambda d, e: seeds.append(
+            linalg.eigvalsh_tridiagonal(d, e)) or seeds[-1]))
+    for gamma in (0.0, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
+        oracle._gj_rule.__wrapped__(n, gamma)
+        want = roots_jacobi(n, 0.0, -gamma)[0]
+        assert np.max(np.abs(seeds[-1] - want)) <= 16 * np.finfo(float).eps
+
+
+def test_gauss_jacobi_rule_size_limited():
+    # the doubling loop stops at MAX_NODES_PER_SIDE; a direct caller, like
+    # criterion 7's uncapped doubling, must not build a larger rule either
+    with pytest.raises(OracleError, match="exceed"):
+        oracle._gj_rule(oracle.MAX_NODES_PER_SIDE + 1, 0.5)
 
 
 def _peak_bytes(fn):
