@@ -22,6 +22,12 @@ Then, for PLC and PQC at N=512 and the points a+h, 1/3 and the centre of
 truncation error |I - I_k|: the interpolant's integral
 (`interpolant_integral`, all cells in one moment pass) and the oracle's
 I(a, b, x) at that point (`singular_integral`).
+
+Last, for PLC and PQC, prints the same median/first pair in ms for a whole
+study of each kind that scripts/reproduce_tables.py runs, at this gamma: the
+global ladder N = 16 .. 128 and the truncation ladder N = 64 .. 512 at the
+points a+h, 1/3 and the centre.  Its last column counts the oracle calls
+(batched integral evaluations) that one run of the study makes.
 """
 
 import statistics
@@ -31,10 +37,16 @@ import tracemalloc
 
 from nlcolloc import oracle, solver
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.study import SCHEMES
+from nlcolloc.study import (SCHEMES, StudyConfig, run_global_study,
+                            run_truncation_study)
 
 CASES = (("plc", 4096), ("pqc", 2048))
 TRUNCATION_N = 512
+# The ladders of scripts/reproduce_tables.py: (name, study, config fields).
+STUDIES = (("global", run_global_study, {"levels": (16, 32, 64, 128)}),
+           ("truncation", run_truncation_study,
+            {"levels": (64, 128, 256, 512),
+             "evalPoints": ("first", 1.0 / 3.0, "center")}))
 
 
 def stages(scheme, params, grid):
@@ -78,6 +90,32 @@ def truncation_stages(scheme, params, grid, x):
     return t1 - t0, time.perf_counter() - t1
 
 
+def study_time(run, config):
+    """Wall time in seconds of one run of a study."""
+    t0 = time.perf_counter()
+    run(config)
+    return time.perf_counter() - t0
+
+
+def oracle_calls(run, config):
+    """Calls into the oracle's batched integral during one run of a study:
+    every oracle value, at a point or on a lattice, passes through it."""
+    calls = 0
+    original = oracle._singular_integrals
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    oracle._singular_integrals = counted
+    try:
+        run(config)
+    finally:
+        oracle._singular_integrals = original
+    return calls
+
+
 def timings(runs, digits):
     """'median/first' in ms for each stage of a list of per-run times."""
     return ",".join(f"{1e3 * statistics.median(stage):.{digits}f}"
@@ -101,6 +139,14 @@ def main(argv):
             runs = [truncation_stages(scheme, params, grid, x)
                     for _ in range(repeats)]
             print(f"{scheme}:N={TRUNCATION_N},{tag},{timings(runs, 2)}")
+    print("case,study_ms,oracle_calls")
+    for scheme in ("plc", "pqc"):
+        for name, run, fields in STUDIES:
+            config = StudyConfig(scheme, gamma, **fields)
+            runs = [[study_time(run, config)] for _ in range(repeats)]
+            levels = config.levels
+            print(f"{scheme}:{name}:N={levels[0]}..{levels[-1]},"
+                  f"{timings(runs, 2)},{oracle_calls(run, config)}")
     return 0
 
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from . import plc, pqc, solver
 from .grid import KernelParams, UniformGrid
-from .oracle import TestFunction, exact_nonlocal_rhs, exponential
+from .oracle import (ManufacturedProblem, TestFunction, exact_nonlocal_rhs,
+                     exponential, singular_integrals)
 
 # Truncation entries below this magnitude sit at the double-precision
 # rounding floor; they are flagged and excluded from order estimation.
@@ -112,42 +113,72 @@ def _metadata(config: StudyConfig) -> dict:
 
 
 def run_truncation_study(config: StudyConfig) -> list:
-    """One StudyReport per eval point: |I - I_k| at that point per level."""
+    """One StudyReport per entry of evalPoints: |I - I_k| at that point per
+    level.
+
+    The oracle is called once, on the distinct points of the whole ladder
+    ("center" and a float are the same point at every level).  Its values
+    are elementwise in x, so each equals that of a one-point call.
+    """
     a, b = config.interval
     params = KernelParams(config.gamma)
     u = config.testFunction
     scheme = SCHEMES[config.scheme]
 
-    per_point = {pt: [] for pt in config.evalPoints}
-    hs = []
-    for N in config.levels:
-        grid = UniformGrid(a, b, N)
-        hs.append(grid.h)
-        for pt in config.evalPoints:
-            x = _resolve_point(pt, grid)
-            per_point[pt].append(scheme.truncation(params, grid, u, x))
+    grids = [UniformGrid(a, b, N) for N in config.levels]
+    xs = [[_resolve_point(pt, grid) for pt in config.evalPoints]
+          for grid in grids]
+    # the oracle first: where u overflows it raises before the samples warn
+    distinct, where = np.unique(np.ravel(xs), return_inverse=True)
+    exact = singular_integrals(u, (a, b), params, distinct)[where]
+    errors = []                # one row per level, one entry per eval point
+    for grid, points, values in zip(grids, xs,
+                                    exact.reshape(np.shape(xs)).tolist()):
+        samples = u(scheme.lattice(grid))
+        errors.append([
+            abs(value - scheme.interpolant_integral(params, grid, samples, x))
+            for x, value in zip(points, values)])
 
+    hs = [grid.h for grid in grids]
     meta = _metadata(config)
     return [
-        StudyReport(rows=_build_rows(config.levels, hs, per_point[pt]),
+        StudyReport(rows=_build_rows(config.levels, hs, column),
                     label=f"x={pt}", metadata=meta)
-        for pt in config.evalPoints
+        for pt, column in zip(config.evalPoints, zip(*errors))
     ]
 
 
 def run_global_study(config: StudyConfig) -> StudyReport:
     """Manufacture f, assemble, solve; error is the max-norm over all
-    interior collocation nodes (integer and half nodes for PQC)."""
+    interior collocation nodes (integer and half nodes for PQC).
+
+    The right-hand side is manufactured once, at the finest level.  Each
+    level divides the next, so a coarser level's lattice points are every
+    stride-th finest one; where they are so bit for bit (always for
+    power-of-two ratios), that level takes the same slice of the finest f,
+    whose values are elementwise in x.  Any other level manufactures its
+    own.
+    """
     a, b = config.interval
     params = KernelParams(config.gamma)
     u = config.testFunction
     scheme = SCHEMES[config.scheme]
 
+    grids = [UniformGrid(a, b, N) for N in config.levels]
+    finest = exact_nonlocal_rhs(u, grids[-1], params, nodes=config.scheme)
+    # fValues lists f at lattice(grid)[1:-1], in lattice order
+    finestPoints = scheme.lattice(grids[-1])[1:-1]
     hs, errors = [], []
-    for N in config.levels:
-        grid = UniformGrid(a, b, N)
+    for grid in grids:
         hs.append(grid.h)
-        problem = exact_nonlocal_rhs(u, grid, params, nodes=config.scheme)
+        stride = grids[-1].N // grid.N
+        if np.array_equal(scheme.lattice(grid)[1:-1],
+                          finestPoints[stride - 1::stride]):
+            problem = ManufacturedProblem(
+                fValues=finest.fValues[stride - 1::stride],
+                boundary=finest.boundary)
+        else:
+            problem = exact_nonlocal_rhs(u, grid, params, nodes=config.scheme)
         system = scheme.assemble(params, grid, problem)
         uh = solver.solve_dense(system)
         errors.append(float(np.max(np.abs(uh - u(system.nodes)))))

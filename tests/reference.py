@@ -4,7 +4,9 @@ Closed forms of the singular integral, adaptive-quadrature integrals of the
 boundary basis functions, and an eigenvalue bound for the PLC matrix: each
 is computed without the collocation weight tables, so the tests can check
 the library's rules, boundary terms and structure against them.  A
-double-double prefix scan of another shape checks the solver's row sums.
+double-double prefix scan of another shape checks the solver's row sums,
+and the studies' per-point and per-level loops check the studies' shared
+oracle calls.
 """
 
 import math
@@ -12,8 +14,10 @@ import math
 import numpy as np
 from scipy import integrate, linalg
 
+from nlcolloc import solver, study
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.oracle import TestFunction, _exp_integral_series, kernel_row_integral
+from nlcolloc.oracle import (TestFunction, _exp_integral_series,
+                             exact_nonlocal_rhs, kernel_row_integral)
 from nlcolloc.solver import _dd_add
 
 
@@ -143,3 +147,40 @@ def brent_kung_prefix_sums(x: np.ndarray) -> np.ndarray:
         right = dd[:, 3 * step - 1::2 * step]
         right[:] = _dd_add(right, dd[:, 2 * step - 1:size - step:2 * step])
     return dd[:, :n]
+
+
+# --- studies, one oracle call per row ---------------------------------------
+
+def truncation_study_by_point(config: study.StudyConfig) -> list:
+    """run_truncation_study with one scheme.truncation call, and so one
+    oracle call, per level and eval point."""
+    params = KernelParams(config.gamma)
+    scheme = study.SCHEMES[config.scheme]
+    grids = [UniformGrid(*config.interval, N) for N in config.levels]
+    hs = [grid.h for grid in grids]
+    return [
+        study.StudyReport(
+            rows=study._build_rows(config.levels, hs, [
+                scheme.truncation(params, grid, config.testFunction,
+                                  study._resolve_point(pt, grid))
+                for grid in grids]),
+            label=f"x={pt}", metadata=study._metadata(config))
+        for pt in config.evalPoints]
+
+
+def global_study_by_level(config: study.StudyConfig) -> study.StudyReport:
+    """run_global_study with its own exact_nonlocal_rhs call per level."""
+    params = KernelParams(config.gamma)
+    u = config.testFunction
+    scheme = study.SCHEMES[config.scheme]
+    hs, errors = [], []
+    for N in config.levels:
+        grid = UniformGrid(*config.interval, N)
+        hs.append(grid.h)
+        problem = exact_nonlocal_rhs(u, grid, params, nodes=config.scheme)
+        system = scheme.assemble(params, grid, problem)
+        uh = solver.solve_dense(system)
+        errors.append(float(np.max(np.abs(uh - u(system.nodes)))))
+    return study.StudyReport(rows=study._build_rows(config.levels, hs, errors),
+                             label="max-norm error",
+                             metadata=study._metadata(config))

@@ -2,7 +2,9 @@
 
 import importlib.util
 import inspect
+import itertools
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from nlcolloc import coeffs, oracle, plc, pqc, study
 from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.oracle import constant, exact_nonlocal_rhs, exponential, monomial
 from nlcolloc.study import StudyConfig, StudyReport, StudyRow
+from reference import global_study_by_level, truncation_study_by_point
 
 
 class TestFitOrders:
@@ -99,6 +102,89 @@ class TestTruncationStudy:
                                  evalPoints=("first", "center", 1.0 / 3.0))
             reports = study.run_truncation_study(config)
             assert [len(r.rows) for r in reports] == [2, 2, 2]
+
+    def test_repeated_eval_point(self):
+        # the rows are kept per position: a repeated point once made two
+        # errors per level under one key, and fit_orders raised IndexError
+        config = StudyConfig("plc", 0.3, (16, 32, 64),
+                             evalPoints=("center", "center"))
+        single = StudyConfig("plc", 0.3, (16, 32, 64))
+        reports = study.run_truncation_study(config)
+        assert reports == study.run_truncation_study(single) * 2
+
+
+# The intervals: a short one, one across zero, one far from it (where e^y
+# overflows, so every exp study fails), and one on which the coarse lattices
+# of the non-power-of-two ladders are not slices of the finest to the bit.
+SWEEP = list(itertools.product(
+    ("plc", "pqc"), (0.0, 0.3, 0.7), (exponential(), constant(2.5), monomial(3)),
+    ((0.0, 1.0), (-2.0, 3.0), (1000.0, 1001.0), (0.1, 0.7)),
+    ((16, 32, 64, 128), (16, 48), (12, 24, 72))))
+
+
+def outcome(run, config):
+    """The study's result, or the type of the exception it raised."""
+    try:
+        return run(config)
+    except oracle.OracleError as exc:
+        return type(exc)
+
+
+def counting(monkeypatch, name):
+    """Count the calls the study module makes to its oracle function name."""
+    calls = []
+    original = getattr(study, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(study, name, counted)
+    return calls
+
+
+class TestSharedOracleCalls:
+    """The studies' rows equal, bit for bit, those of one oracle call per
+    row, which is how tests/reference.py computes them."""
+
+    def test_truncation_rows_equal_per_point_calls(self, monkeypatch):
+        calls = counting(monkeypatch, "singular_integrals")
+        for scheme, gamma, u, (a, b), levels in SWEEP:
+            third = a + (b - a) / 3.0
+            config = StudyConfig(scheme, gamma, levels, interval=(a, b),
+                                 testFunction=u,
+                                 evalPoints=("first", third, "center", third))
+            calls.clear()
+            got = outcome(study.run_truncation_study, config)
+            assert len(calls) == 1, config
+            assert got == outcome(truncation_study_by_point, config), config
+
+    def test_global_rows_equal_per_level_calls(self, monkeypatch):
+        calls = counting(monkeypatch, "exact_nonlocal_rhs")
+        fallbacks = 0
+        for scheme, gamma, u, interval, levels in SWEEP:
+            config = StudyConfig(scheme, gamma, levels, interval=interval,
+                                 testFunction=u)
+            calls.clear()
+            got = outcome(study.run_global_study, config)
+            if got is not oracle.OracleError:
+                fallbacks += len(calls) - 1
+                if levels == (16, 32, 64, 128):
+                    assert len(calls) == 1, config
+            assert got == outcome(global_study_by_level, config), config
+        assert fallbacks > 0       # the per-level route ran too
+
+    @pytest.mark.parametrize("run", [study.run_truncation_study,
+                                     study.run_global_study])
+    def test_overflow_raises_before_any_warning(self, run):
+        # e^720 overflows float64: the oracle, called first, raises before
+        # the samples or u(nodes) warn
+        config = StudyConfig("pqc", 0.5, (8, 16), interval=(700.0, 720.0),
+                             evalPoints=("first", "center"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(oracle.OracleError):
+                run(config)
 
 
 class TestGlobalStudy:

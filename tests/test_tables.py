@@ -1,9 +1,10 @@
-"""The truncation tables of scripts/reproduce_tables.py against their
-recorded checksums in bench/reference.json.
+"""The tables of scripts/reproduce_tables.py against their recorded
+checksums in bench/reference.json.
 
-These tables use no linear solve, so they do not depend on the BLAS
-thread count; the global tables print LU roundoff and are checked by the
-benchmark, which pins one BLAS thread.
+The truncation tables use no linear solve, so they do not depend on the
+BLAS thread count and are written in this process.  The global tables
+print LU roundoff, so they are written in a child process pinned to one
+BLAS and OpenMP thread, as the benchmark that recorded them runs.
 """
 
 import contextlib
@@ -11,7 +12,10 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -24,15 +28,38 @@ def load_script():
     return script
 
 
-def test_truncation_tables_match_reference(tmp_path):
+def expected_tables(kind):
     reference = json.loads((ROOT / "bench" / "reference.json").read_text())
-    expected = {name: digest for name, digest in reference["tables"].items()
-                if "_truncation_" in name}
+    return {name: digest for name, digest in reference["tables"].items()
+            if f"_{kind}_" in name}
+
+
+def assert_written_as_recorded(outdir, expected):
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(expected)
+    for name, digest in expected.items():
+        got = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+        assert got == digest, name
+
+
+def test_truncation_tables_match_reference(tmp_path):
+    expected = expected_tables("truncation")
     assert len(expected) == 12
     with contextlib.redirect_stdout(io.StringIO()):
         load_script().write_truncation_tables(tmp_path)
-    written = sorted(p.name for p in tmp_path.iterdir())
-    assert written == sorted(expected)
-    for name, digest in expected.items():
-        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert got == digest, name
+    assert_written_as_recorded(tmp_path, expected)
+
+
+def test_global_tables_match_reference(tmp_path):
+    expected = expected_tables("global")
+    assert len(expected) == 6
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = ("import pathlib, sys; sys.path.insert(0, sys.argv[1]); "
+            "import reproduce_tables; "
+            "reproduce_tables.write_global_tables(pathlib.Path(sys.argv[2]))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "scripts"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert_written_as_recorded(tmp_path, expected)
