@@ -48,6 +48,8 @@ class UniformGrid:
         return (self.b - self.a) / self.N
 
     def lattice(self, p: int) -> np.ndarray:
-        """The pN + 1 points x_{j/p} = a + j (h/p), j = 0..pN: the integer
-        nodes for p = 1, the integer and half nodes interleaved for p = 2."""
-        return self.a + np.arange(p * self.N + 1) * (self.h / p)
+        """The pN + 1 points a + (j/(pN)) (b - a), j = 0..pN: the integer nodes
+        for p = 1, integer and half nodes interleaved for p = 2.  j/(pN) and
+        sj/(spN) round alike, so these are every s-th point on sN cells."""
+        n = p * self.N
+        return self.a + (np.arange(n + 1) / n) * (self.b - self.a)

@@ -7,6 +7,7 @@ renders the results as CSV or Markdown tables.
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional, Union
 
 import numpy as np
@@ -28,9 +29,9 @@ FLOOR = 1e-12
 # whose tol defaults to oracle.ORACLE_TOL, the accuracy every table uses.
 SCHEMES = {"plc": plc, "pqc": pqc}
 
-# Eval points: "center" re-resolves to the midpoint junction (a+b)/2,
-# "first" to the moving first interior node a+h; a float is used as-is (the
-# oracle rejects one outside (a, b)).
+# Eval points: "center" resolves to the lattice point a + (b-a)/2 (the
+# midpoint junction for even N), "first" to the moving first node
+# lattice(1)[1]; a float is used as-is (the oracle rejects one outside (a, b)).
 EvalPoint = Union[str, float]
 
 
@@ -53,6 +54,9 @@ class StudyConfig:
             raise ValueError("levels must be strictly increasing")
         if any(b % a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("each level must be a multiple of the previous")
+        for pt in self.evalPoints:
+            if pt not in ("center", "first") and not isinstance(pt, Real):
+                raise ValueError(f"unknown eval point {pt!r}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,9 @@ def fit_orders(hs, errors):
 
 def _resolve_point(point: EvalPoint, grid: UniformGrid) -> float:
     if point == "center":
-        return 0.5 * (grid.a + grid.b)
+        return float(grid.lattice(2)[grid.N])
     if point == "first":
-        return grid.a + grid.h
+        return float(grid.lattice(1)[1])
     return float(point)
 
 
@@ -153,11 +157,9 @@ def run_global_study(config: StudyConfig) -> StudyReport:
     interior collocation nodes (integer and half nodes for PQC).
 
     The right-hand side is manufactured once, at the finest level.  Each
-    level divides the next, so a coarser level's lattice points are every
-    stride-th finest one; where they are so bit for bit (always for
-    power-of-two ratios), that level takes the same slice of the finest f,
-    whose values are elementwise in x.  Any other level manufactures its
-    own.
+    level divides the next, so a coarser level's lattice is every stride-th
+    point of the finest, bit for bit, and the level takes the same slice of
+    the finest f, whose values are elementwise in x.
     """
     a, b = config.interval
     params = KernelParams(config.gamma)
@@ -166,19 +168,14 @@ def run_global_study(config: StudyConfig) -> StudyReport:
 
     grids = [UniformGrid(a, b, N) for N in config.levels]
     finest = exact_nonlocal_rhs(u, grids[-1], params, nodes=config.scheme)
-    # fValues lists f at lattice(grid)[1:-1], in lattice order
-    finestPoints = scheme.lattice(grids[-1])[1:-1]
     hs, errors = [], []
     for grid in grids:
         hs.append(grid.h)
+        # fValues lists f at lattice(grid)[1:-1], in lattice order
         stride = grids[-1].N // grid.N
-        if np.array_equal(scheme.lattice(grid)[1:-1],
-                          finestPoints[stride - 1::stride]):
-            problem = ManufacturedProblem(
-                fValues=finest.fValues[stride - 1::stride],
-                boundary=finest.boundary)
-        else:
-            problem = exact_nonlocal_rhs(u, grid, params, nodes=config.scheme)
+        problem = ManufacturedProblem(
+            fValues=finest.fValues[stride - 1::stride],
+            boundary=finest.boundary)
         system = scheme.assemble(params, grid, problem)
         uh = solver.solve_dense(system)
         errors.append(float(np.max(np.abs(uh - u(system.nodes)))))

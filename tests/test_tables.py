@@ -1,10 +1,11 @@
-"""The tables of scripts/reproduce_tables.py against their recorded
-checksums in bench/reference.json.
+"""The tables of scripts/reproduce_tables.py and the outputs of the CLI
+commands against their recorded checksums in bench/reference.json.
 
 The truncation tables use no linear solve, so they do not depend on the
 BLAS thread count and are written in this process.  The global tables
-print LU roundoff, so they are written in a child process pinned to one
-BLAS and OpenMP thread, as the benchmark that recorded them runs.
+and the CLI commands print LU roundoff, so they run in a child process
+pinned to one BLAS and OpenMP thread, as the benchmark that recorded them
+runs.
 """
 
 import contextlib
@@ -17,7 +18,14 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text())
+# one BLAS and OpenMP thread, and the library from this checkout
+PINNED = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+              PYTHONPATH=os.pathsep.join(
+                  [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
 
 
 def load_script():
@@ -29,8 +37,7 @@ def load_script():
 
 
 def expected_tables(kind):
-    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
-    return {name: digest for name, digest in reference["tables"].items()
+    return {name: digest for name, digest in REFERENCE["tables"].items()
             if f"_{kind}_" in name}
 
 
@@ -52,14 +59,22 @@ def test_truncation_tables_match_reference(tmp_path):
 def test_global_tables_match_reference(tmp_path):
     expected = expected_tables("global")
     assert len(expected) == 6
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     code = ("import pathlib, sys; sys.path.insert(0, sys.argv[1]); "
             "import reproduce_tables; "
             "reproduce_tables.write_global_tables(pathlib.Path(sys.argv[2]))")
     done = subprocess.run(
         [sys.executable, "-c", code, str(ROOT / "scripts"), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=PINNED, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert_written_as_recorded(tmp_path, expected)
+
+
+@pytest.mark.parametrize("command", sorted(REFERENCE["cli"]))
+def test_cli_output_matches_reference(command):
+    expected = REFERENCE["cli"][command]
+    done = subprocess.run(
+        [sys.executable, "-m", "nlcolloc.cli", *command.split()],
+        env=PINNED, capture_output=True, timeout=300)
+    assert done.returncode == expected["exit"], done.stderr
+    got = hashlib.sha256(done.stdout).hexdigest()
+    assert got == expected["stdout_sha256"], done.stdout
