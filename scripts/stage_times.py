@@ -11,11 +11,15 @@ solve_dense and check_structure.  Each stage shows the median over the
 repeats and, after a slash, the first repeat: the first repeat of a case
 pays first-use costs that the median hides, such as Gauss-Jacobi rules not
 yet cached (rules are cached per process, so the PQC case starts with the
-rules that the PLC case built).  The last column is the tracemalloc peak in
-MB of assemble -> solve_dense -> check_structure, measured in one further
-run.  Nothing reads `system.matrix`, so a stage that forms the dense matrix
-shows it here; none does on these dominant systems, and check_structure
-reads only the Toeplitz generators, in O(n).
+rules that the PLC case built).  The last two columns come from one further
+run: the tracemalloc peak in MB of assemble -> solve_dense ->
+check_structure, and the number of dense LU solves (`solver._solve_lu`
+calls) in its solve_dense.  These systems lie above
+solver.KRYLOV_MIN_UNKNOWNS, so 0 means GMRES accepted the solution and 1
+that it gave up and the dense LU solved the system, as it does at gamma =
+0.999.  Nothing reads `system.matrix`, so a stage that forms the dense
+matrix shows it here; on dominant systems solved by GMRES none does, and
+check_structure reads only the Toeplitz generators, in O(n).
 
 Then, for PLC and PQC at N=512 and the points a+h, 1/3 and the centre of
 (0, 1), prints the same median/first pair in ms for the two halves of one
@@ -27,7 +31,8 @@ Last, for PLC and PQC, prints the same median/first pair in ms for a whole
 study of each kind that scripts/reproduce_tables.py runs, at this gamma: the
 global ladder N = 16 .. 128 and the truncation ladder N = 64 .. 512 at the
 points a+h, 1/3 and the centre.  Its last column counts the oracle calls
-(batched integral evaluations) that one run of the study makes.
+(calls of the batched integral `oracle._singular_integrals`, through which
+every oracle value passes) that one run of the study makes.
 """
 
 import statistics
@@ -66,16 +71,18 @@ def stages(scheme, params, grid):
     return [b - a for a, b in zip(t, t[1:])]
 
 
-def peak_mb(scheme, params, grid):
+def peak_mb_and_lu_calls(scheme, params, grid):
+    """The tracemalloc peak in MB of one assemble -> solve_dense ->
+    check_structure, and the dense LU solves in its solve_dense."""
     problem = oracle.exact_nonlocal_rhs(oracle.exponential(), grid, params,
                                         nodes=scheme)
     tracemalloc.start()
     system = SCHEMES[scheme].assemble(params, grid, problem)
-    solver.solve_dense(system)
+    lu_calls = calls(solver, "_solve_lu", solver.solve_dense, system)
     solver.check_structure(system)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return peak / 2**20
+    return peak / 2**20, lu_calls
 
 
 def truncation_stages(scheme, params, grid, x):
@@ -97,23 +104,22 @@ def study_time(run, config):
     return time.perf_counter() - t0
 
 
-def oracle_calls(run, config):
-    """Calls into the oracle's batched integral during one run of a study:
-    every oracle value, at a point or on a lattice, passes through it."""
-    calls = 0
-    original = oracle._singular_integrals
+def calls(module, name, run, *args):
+    """Calls of module.name during run(*args)."""
+    count = 0
+    original = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+    def counted(*inner, **kwargs):
+        nonlocal count
+        count += 1
+        return original(*inner, **kwargs)
 
-    oracle._singular_integrals = counted
+    setattr(module, name, counted)
     try:
-        run(config)
+        run(*args)
     finally:
-        oracle._singular_integrals = original
-    return calls
+        setattr(module, name, original)
+    return count
 
 
 def timings(runs, digits):
@@ -126,12 +132,13 @@ def main(argv):
     gamma = float(argv[1]) if len(argv) > 1 else 0.7
     repeats = int(argv[2]) if len(argv) > 2 else 3
     params = KernelParams(gamma)
-    print("case,weights_ms,rhs_ms,assemble_ms,solve_ms,check_ms,peak_mb")
+    print("case,weights_ms,rhs_ms,assemble_ms,solve_ms,check_ms,peak_mb,"
+          "lu_calls")
     for scheme, N in CASES:
         grid = UniformGrid(0.0, 1.0, N)
         runs = [stages(scheme, params, grid) for _ in range(repeats)]
-        print(f"{scheme}:N={N},{timings(runs, 1)},"
-              f"{peak_mb(scheme, params, grid):.1f}")
+        peak, lu_calls = peak_mb_and_lu_calls(scheme, params, grid)
+        print(f"{scheme}:N={N},{timings(runs, 1)},{peak:.1f},{lu_calls}")
     print("case,x,interpolant_ms,oracle_ms")
     grid = UniformGrid(0.0, 1.0, TRUNCATION_N)
     for scheme in ("plc", "pqc"):
@@ -146,7 +153,8 @@ def main(argv):
             runs = [[study_time(run, config)] for _ in range(repeats)]
             levels = config.levels
             print(f"{scheme}:{name}:N={levels[0]}..{levels[-1]},"
-                  f"{timings(runs, 2)},{oracle_calls(run, config)}")
+                  f"{timings(runs, 2)},"
+                  f"{calls(oracle, '_singular_integrals', run, config)}")
     return 0
 
 

@@ -46,12 +46,14 @@ class ToeplitzStructure:
     blocks: tuple
 
     def _tiles(self):
-        """(row slice, column slice, generator pair) of every block."""
+        """((p, q), row slice, column slice, generator pair) of every block
+        (p, q), block row by block row."""
         r0 = 0
-        for block_row in self.blocks:
+        for p, block_row in enumerate(self.blocks):
             height, c0 = len(block_row[0][0]), 0
-            for column, row in block_row:
-                yield slice(r0, r0 + height), slice(c0, c0 + len(row)), (column, row)
+            for q, (column, row) in enumerate(block_row):
+                yield ((p, q), slice(r0, r0 + height),
+                       slice(c0, c0 + len(row)), (column, row))
                 c0 += len(row)
             r0 += height
 
@@ -66,14 +68,14 @@ class ToeplitzStructure:
         tiles = list(self._tiles())
         length = 1 << max(len(c) + len(r) - 2 for *_, (c, r) in tiles).bit_length()
         spectra = []
-        for _, _, (column, row) in tiles:
+        for *_, (column, row) in tiles:
             embedding = np.zeros(length)
             embedding[:len(column)] = column
             embedding[length - len(row) + 1:] = row[:0:-1]
             spectra.append(np.fft.rfft(embedding))
         width = len(self.blocks[0])
-        return (length, [rows for rows, _, _ in tiles[::width]],
-                [cols for _, cols, _ in tiles[:width]],
+        return (length, [rows for _, rows, _, _ in tiles[::width]],
+                [cols for _, _, cols, _ in tiles[:width]],
                 np.reshape(spectra, (len(self.blocks), width, -1)))
 
     def dense(self) -> np.ndarray:
@@ -82,7 +84,7 @@ class ToeplitzStructure:
         would copy, then negated, the diagonal added and scaled in place."""
         n = len(self.diag)
         out = np.empty((n, n))
-        for rows, cols, (column, row) in self._tiles():
+        for _, rows, cols, (column, row) in self._tiles():
             out[rows, cols] = sliding_window_view(
                 np.concatenate((column[::-1], row[1:])), len(row))[::-1]
         np.negative(out, out=out)
@@ -189,9 +191,8 @@ def solve_krylov(structure: ToeplitzStructure,
     matrix by Givens rotations until the residual estimate is at most
     KRYLOV_RTOL ||b||.  After each cycle the true residual b - A x decides:
     the solution is returned when ||b - A x|| / ||b|| is at most
-    KRYLOV_ACCEPT; None is returned when the cycle lowered the true residual
-    by less than 10x (it has stalled, typically at the matvec's roundoff) or
-    after KRYLOV_CYCLES cycles.
+    KRYLOV_ACCEPT, otherwise the next cycle restarts from that residual.
+    None is returned after KRYLOV_CYCLES cycles.
     """
     m, n = KRYLOV_RESTART, len(b)
     inverse_diagonal = 1.0 / structure.diagonal()
@@ -234,11 +235,9 @@ def solve_krylov(structure: ToeplitzStructure,
             y[i] = (y[i] - R[i, i + 1:k] @ y[i + 1:k]) / R[i, i]
         x += inverse_diagonal * (y @ V[:k])
         r = b - structure.matvec(x)
-        previous, r_norm = r_norm, np.linalg.norm(r)
+        r_norm = np.linalg.norm(r)
         if r_norm <= KRYLOV_ACCEPT * b_norm:
             return x
-        if r_norm > previous / 10.0:
-            return None
     return None
 
 
@@ -281,7 +280,8 @@ def check_structure(system: CollocationSystem) -> StructureReport:
     off the diagonal.  Block (p, q) mirrors block (q, p) when its first
     column equals the first row of (q, p); each diagonal block mirrors
     itself.  Row sums and slack are windows of prefix sums compensated by
-    their running TwoSum errors.
+    their running TwoSum errors, added block by block into two
+    double-double arrays of length n at each block's rows.
     The SPD question is asked only of a symmetric A, since Cholesky reads
     one triangle: spdFactorizationOk comes from Gershgorin when A has a
     positive diagonal and every row dominant by more than n times the
@@ -292,32 +292,27 @@ def check_structure(system: CollocationSystem) -> StructureReport:
     n, scale = len(op.diag), op.scale
     sign = np.copysign(1.0, scale)
     diagonal = op.diagonal()
-    row_sums, slack, entries, gaps = [], [], [], []
-    r0 = 0
-    for p, block_row in enumerate(op.blocks):
-        d = op.diag[r0:r0 + len(block_row[0][0])]
-        total = margin = (d, np.zeros(len(d)))
-        for q, (column, row) in enumerate(block_row):
-            total = _dd_add(total, _block_row_sums(-column, -row))
-            # the slack takes -t_ii on the diagonal, -sign * |t_ij| off it
-            absolute = np.abs(column)
-            if p == q:
-                absolute[0] = sign * column[0]
-            margin = _dd_add(margin, _block_row_sums(-sign * absolute,
-                                                     -sign * np.abs(row)))
-            entries.append(scale * np.concatenate((column[p == q:], row[1:])))
-            partner_column, partner_row = op.blocks[q][p]
-            partner = np.concatenate((partner_column[:1], partner_row[1:]))
-            gaps.append(np.abs(scale * column - scale * partner))
-        row_sums.append(scale * (total[0] + total[1]))
-        slack.append(scale * (margin[0] + margin[1]))
-        r0 += len(d)
+    total = np.stack((op.diag, np.zeros(n)))    # d_i - T, double-double
+    margin = total.copy()                       # the same for the slack
+    entries, gaps = [], []
+    for (p, q), rows, _, (column, row) in op._tiles():
+        total[:, rows] = _dd_add(total[:, rows], _block_row_sums(-column, -row))
+        # the slack takes -t_ii on the diagonal, -sign * |t_ij| off it
+        absolute = np.abs(column)
+        if p == q:
+            absolute[0] = sign * column[0]
+        margin[:, rows] = _dd_add(margin[:, rows], _block_row_sums(
+            -sign * absolute, -sign * np.abs(row)))
+        entries.append(scale * np.concatenate((column[p == q:], row[1:])))
+        partner_column, partner_row = op.blocks[q][p]
+        partner = np.concatenate((partner_column[:1], partner_row[1:]))
+        gaps.append(np.abs(scale * column - scale * partner))
 
     entries = np.concatenate(entries)               # scale * t = -a_ij
     atol = 1e-14 * np.max(np.abs(np.concatenate((diagonal, entries))))
     symmetric = bool(np.max(np.concatenate(gaps)) <= atol)
     diag_positive = bool(np.all(diagonal > 0.0))
-    min_slack = float(np.min(np.concatenate(slack)))
+    min_slack = float(np.min(scale * (margin[0] + margin[1])))
     spd_ok = None
     if symmetric:
         if diag_positive and min_slack > n * atol:
@@ -332,7 +327,7 @@ def check_structure(system: CollocationSystem) -> StructureReport:
     return StructureReport(
         diagPositive=diag_positive,
         offDiagNegative=bool(np.all(entries > 0.0)),
-        rowSums=np.concatenate(row_sums),
+        rowSums=scale * (total[0] + total[1]),
         minRowSlack=min_slack,
         symmetric=symmetric,
         spdFactorizationOk=spd_ok,

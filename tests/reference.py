@@ -5,8 +5,9 @@ boundary basis functions, and an eigenvalue bound for the PLC matrix: each
 is computed without the collocation weight tables, so the tests can check
 the library's rules, boundary terms and structure against them.  A
 double-double prefix scan of another shape checks the solver's row sums,
-and the studies' per-point and per-level loops check the studies' shared
-oracle calls.
+a walk over the block grid one block row at a time checks its structure
+report, and the studies' per-point and per-level loops check the studies'
+shared oracle calls.
 """
 
 import math
@@ -18,7 +19,7 @@ from nlcolloc import solver, study
 from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.oracle import (TestFunction, _exp_integral_series,
                              exact_nonlocal_rhs, kernel_row_integral)
-from nlcolloc.solver import _dd_add
+from nlcolloc.solver import _block_row_sums, _dd_add
 
 
 # --- closed forms -----------------------------------------------------------
@@ -147,6 +148,62 @@ def brent_kung_prefix_sums(x: np.ndarray) -> np.ndarray:
         right = dd[:, 3 * step - 1::2 * step]
         right[:] = _dd_add(right, dd[:, 2 * step - 1:size - step:2 * step])
     return dd[:, :n]
+
+
+# --- structure report, one block row at a time -----------------------------
+
+def check_structure_by_block_row(system) -> solver.StructureReport:
+    """solver.check_structure with the block grid walked by hand: per block
+    row, its slice of the diagonal starts a double-double row sum and row
+    slack that every block of the row adds to; the block rows' results are
+    then concatenated."""
+    op = system.operator
+    n, scale = len(op.diag), op.scale
+    sign = np.copysign(1.0, scale)
+    diagonal = op.diagonal()
+    row_sums, slack, entries, gaps = [], [], [], []
+    r0 = 0
+    for p, block_row in enumerate(op.blocks):
+        d = op.diag[r0:r0 + len(block_row[0][0])]
+        total = margin = (d, np.zeros(len(d)))
+        for q, (column, row) in enumerate(block_row):
+            total = _dd_add(total, _block_row_sums(-column, -row))
+            absolute = np.abs(column)
+            if p == q:
+                absolute[0] = sign * column[0]
+            margin = _dd_add(margin, _block_row_sums(-sign * absolute,
+                                                     -sign * np.abs(row)))
+            entries.append(scale * np.concatenate((column[p == q:], row[1:])))
+            partner_column, partner_row = op.blocks[q][p]
+            partner = np.concatenate((partner_column[:1], partner_row[1:]))
+            gaps.append(np.abs(scale * column - scale * partner))
+        row_sums.append(scale * (total[0] + total[1]))
+        slack.append(scale * (margin[0] + margin[1]))
+        r0 += len(d)
+
+    entries = np.concatenate(entries)
+    atol = 1e-14 * np.max(np.abs(np.concatenate((diagonal, entries))))
+    symmetric = bool(np.max(np.concatenate(gaps)) <= atol)
+    diag_positive = bool(np.all(diagonal > 0.0))
+    min_slack = float(np.min(np.concatenate(slack)))
+    spd_ok = None
+    if symmetric:
+        if diag_positive and min_slack > n * atol:
+            spd_ok = True
+        else:
+            try:
+                linalg.cholesky(system.matrix)
+                spd_ok = True
+            except linalg.LinAlgError:
+                spd_ok = False
+    return solver.StructureReport(
+        diagPositive=diag_positive,
+        offDiagNegative=bool(np.all(entries > 0.0)),
+        rowSums=np.concatenate(row_sums),
+        minRowSlack=min_slack,
+        symmetric=symmetric,
+        spdFactorizationOk=spd_ok,
+    )
 
 
 # --- studies, one oracle call per row ---------------------------------------

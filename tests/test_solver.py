@@ -18,8 +18,8 @@ from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.oracle import constant, exact_nonlocal_rhs, exponential
 from nlcolloc.solver import CollocationSystem, ToeplitzStructure
 from nlcolloc.study import SCHEMES
-from reference import (brent_kung_prefix_sums, gershgorin_reference_bound,
-                       min_eigenvalue)
+from reference import (brent_kung_prefix_sums, check_structure_by_block_row,
+                       gershgorin_reference_bound, min_eigenvalue)
 
 
 def toeplitz(diag, column, row=None, scale=1.0):
@@ -202,7 +202,8 @@ class TestSolveAboveCutoff:
 
     def test_unconverged_gmres_falls_back_to_lu(self):
         # a random Toeplitz matrix: well conditioned, but its spectrum
-        # surrounds the origin, so GMRES stalls and gives up
+        # surrounds the origin, so GMRES makes no progress and gives up
+        # after KRYLOV_CYCLES cycles
         n = solver.KRYLOV_MIN_UNKNOWNS + 76
         rng = np.random.default_rng(0)
         column, row = rng.standard_normal(n), rng.standard_normal(n)
@@ -255,17 +256,56 @@ class TestGmres:
         assert np.array_equal(x, np.zeros(5))
         assert not matvec_calls
 
-    def test_stalled_residual_goes_straight_to_lu(self, matvec_calls):
+    def test_stalled_residual_falls_back_after_the_cycle_cap(self,
+                                                             matvec_calls):
         # b = 1 has a rough solution: GMRES's estimate converges, but the
-        # true residual stalls near 8e-12 at the matvec's roundoff; the cycle
-        # that no longer lowers it 10x ends the Krylov path
+        # true residual stalls near 8e-12 at the matvec's roundoff; no
+        # restart lowers it to KRYLOV_ACCEPT, so after KRYLOV_CYCLES cycles
+        # the LU path solves
         params, grid = KernelParams(0.95), UniformGrid(0.0, 1.0, 2048)
         structure = pqc.structure(pqc.weights(params, grid))
         b = np.ones(len(structure.diag))
         system = system_of(structure, b=b)
         x = solver.solve_dense(system)
-        assert len(matvec_calls) <= solver.KRYLOV_RESTART + 2
+        assert (len(matvec_calls)
+                <= solver.KRYLOV_CYCLES * (solver.KRYLOV_RESTART + 1))
         assert x.tobytes() == solver._solve_lu(system.matrix, b).tobytes()
+
+    @staticmethod
+    def _constant_solution(interval, matvec_calls):
+        """PLC gamma = 0.99, N = 1024 on the interval, with b = A 2.5."""
+        params, grid = KernelParams(0.99), UniformGrid(*interval, 1024)
+        structure = plc.structure(plc.weights(params, grid))
+        b = structure.matvec(np.full(len(structure.diag), 2.5))
+        matvec_calls.clear()
+        return structure, b
+
+    def test_restart_is_load_bearing(self, matvec_calls, monkeypatch):
+        # the first cycle's iterate misses KRYLOV_ACCEPT; the cycle that
+        # restarts from its true residual meets it
+        structure, b = self._constant_solution((0.0, 1.0), matvec_calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "KRYLOV_CYCLES", 1)
+            assert solver.solve_krylov(structure, b) is None
+        assert len(matvec_calls) <= solver.KRYLOV_RESTART + 1
+        x = solver.solve_krylov(structure, b)
+        assert x is not None
+        lu = solver._solve_lu(structure.dense(), b)
+        assert np.max(np.abs(x - lu)) <= 1e-10
+
+    def test_slow_cycle_is_restarted_not_abandoned(self, matvec_calls,
+                                                   monkeypatch):
+        # on (0, 0.001) the true residual falls from 1.4e-12 to 1.1e-12 of
+        # ||b|| in the second cycle, less than 10x, and the third cycle
+        # meets KRYLOV_ACCEPT: only acceptance or the cycle cap ends GMRES
+        structure, b = self._constant_solution((0.0, 1e-3), matvec_calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "KRYLOV_CYCLES", 2)
+            assert solver.solve_krylov(structure, b) is None
+        x = solver.solve_krylov(structure, b)
+        assert x is not None
+        lu = solver._solve_lu(structure.dense(), b)
+        assert np.max(np.abs(x - lu)) <= 1e-10 * np.max(np.abs(lu))
 
 
 def _loaded_around_solve(module, N):
@@ -488,23 +528,48 @@ def test_check_structure_generated_equals_dense(scheme, N, gamma):
     _assert_matches_reference(_structure(scheme, gamma, N)[0])
 
 
+def _assert_same_report_bits(got, want):
+    flags = lambda r: (r.diagPositive, r.offDiagNegative, r.symmetric,
+                       r.spdFactorizationOk)
+    assert got.rowSums.tobytes() == want.rowSums.tobytes()
+    assert got.minRowSlack.hex() == want.minRowSlack.hex()
+    assert flags(got) == flags(want)
+
+
 @pytest.mark.parametrize("scheme, N", [(scheme, N) for scheme in sorted(SCHEMES)
                                        for N in (2, 3, 8, 64, 100, 513, 2048, 4096)
                                        if (scheme, N) != ("pqc", 4096)])
 def test_row_sums_bitwise_equal_brent_kung_scan(scheme, N, monkeypatch):
     # the one-cumsum prefix sums give the same rowSums and minRowSlack bits as
     # a Brent-Kung double-double scan, and the same flags
-    flags = lambda r: (r.diagPositive, r.offDiagNegative, r.symmetric,
-                       r.spdFactorizationOk)
     for gamma in (0.0, 0.3, 0.5, 0.7, 0.95, 0.99):
         system = system_of(_structure(scheme, gamma, N)[0])
         got = solver.check_structure(system)
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_prefix_sums", brent_kung_prefix_sums)
             want = solver.check_structure(system)
-        assert got.rowSums.tobytes() == want.rowSums.tobytes()
-        assert got.minRowSlack.hex() == want.minRowSlack.hex()
-        assert flags(got) == flags(want)
+        _assert_same_report_bits(got, want)
+
+
+def _block_row_cases():
+    for scheme in sorted(SCHEMES):
+        for gamma in (0.0, 0.3, 0.7, 0.95, 0.999):
+            for N in (2, 3, 7, 64, 513, 2048):
+                yield (f"{scheme}-N{N}-g{gamma}",
+                       _structure(scheme, gamma, N)[0])
+    # nonsymmetric grids, a negative scale, non-dominant symmetric, n = 1
+    yield from ((name, structure) for name, _, structure in _structure_cases()
+                if "-N" not in name)
+
+
+@pytest.mark.parametrize("name, structure", list(_block_row_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_check_structure_bitwise_equals_block_row_walk(name, structure):
+    # accumulating at each tile's rows of two length-n arrays gives every
+    # field the bits of a walk that sums one block row at a time
+    system = system_of(structure)
+    _assert_same_report_bits(solver.check_structure(system),
+                             check_structure_by_block_row(system))
 
 
 def test_check_structure_never_forms_the_matrix(monkeypatch):
