@@ -186,23 +186,14 @@ def check_structure_by_block_row(system) -> solver.StructureReport:
     symmetric = bool(np.max(np.concatenate(gaps)) <= atol)
     diag_positive = bool(np.all(diagonal > 0.0))
     min_slack = float(np.min(np.concatenate(slack)))
-    spd_ok = None
-    if symmetric:
-        if diag_positive and min_slack > n * atol:
-            spd_ok = True
-        else:
-            try:
-                linalg.cholesky(system.matrix)
-                spd_ok = True
-            except linalg.LinAlgError:
-                spd_ok = False
+    certified = symmetric and diag_positive and min_slack > n * atol
     return solver.StructureReport(
         diagPositive=diag_positive,
         offDiagNegative=bool(np.all(entries > 0.0)),
         rowSums=np.concatenate(row_sums),
         minRowSlack=min_slack,
         symmetric=symmetric,
-        spdFactorizationOk=spd_ok,
+        spdFactorizationOk=True if certified else None,
     )
 
 

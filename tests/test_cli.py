@@ -399,14 +399,44 @@ def scipy_after_cli_commands():
 
 
 def test_cli_commands_load_no_scipy_special(scipy_after_cli_commands):
-    # the Gauss-Jacobi seeds are scipy.linalg's tridiagonal eigenvalues
+    # the Gauss-Jacobi seeds are Jacobi-matrix eigenvalues, not roots_jacobi
     assert [m for m in scipy_after_cli_commands
             if m.split(".")[:2] == ["scipy", "special"]] == []
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "only scipy.linalg is left, for the LU solve, the Cholesky check and "
-    "the Gauss-Jacobi seeds' eigenvalues: ROADMAP item 6 lets numpy's LU "
-    "replace it, and item 10 then makes numpy the only runtime dependency"))
+    "converge solves by LU, which loads scipy.linalg.lapack: ROADMAP item 6 "
+    "lets numpy's LU replace it, and item 10 then makes numpy the only "
+    "runtime dependency"))
 def test_cli_commands_load_no_scipy(scipy_after_cli_commands):
     assert scipy_after_cli_commands == []
+
+
+# the CLI calls of the cli_cold benchmark that solve nothing by LU, the
+# last a usage error (gamma >= 1)
+NO_LU_COMMANDS = (
+    "coeffs --scheme pqc --gamma 0.7 --levels 64",
+    "check --scheme plc --gamma 0.7 --levels 64",
+    "truncation --scheme pqc --gamma 0.7 --point center --levels 64,128",
+    "converge --scheme pqc --gamma 1.5 --levels 16",
+)
+
+
+def test_commands_without_lu_solves_load_no_scipy():
+    # importing scipy.linalg takes most of a cold call; only an LU solve or
+    # a Gauss-Jacobi rule above oracle.DENSE_SEED_MAX nodes loads it
+    code = ("import contextlib, io, sys\n"
+            "from nlcolloc import cli\n"
+            "loaded = lambda: [m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy']\n"
+            "print(loaded())\n"
+            f"for command in {[c.split() for c in NO_LU_COMMANDS]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        status = cli.main(command)\n"
+            "    print(status, loaded())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "0 []", "0 []", "0 []", "2 []"]

@@ -1,6 +1,6 @@
 """Source layout: no module imports a name it never uses, no function has
 a parameter it never reads, and the library imports no third-party module
-besides the ones it runs on.
+besides the ones it runs on, scipy only inside the functions that call it.
 
 The environment has no linter; these are the lint rules the package keeps,
 so that deleting code also deletes the imports only it needed.
@@ -106,3 +106,25 @@ def test_library_imports_only_its_runtime_dependencies():
                and not any(module == name or module.startswith(name + ".")
                            for name in THIRD_PARTY)]
     assert not foreign
+
+
+def module_level_imports(tree):
+    """Every absolute module imported when the module itself is: the import
+    statements outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from imported_modules(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_library_imports_scipy_only_inside_functions():
+    # importing scipy.linalg takes about 0.17 s, most of a cold CLI call;
+    # only the calls that use it (an LU solve, a large Gauss-Jacobi rule)
+    # may pay for it
+    eager = [f"{path.name}: {module}" for path in LIBRARY
+             for module in module_level_imports(ast.parse(path.read_text()))
+             if module.split(".")[0] == "scipy"]
+    assert not eager

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -513,14 +512,30 @@ def test_gauss_jacobi_seeds_match_scipy_roots(monkeypatch, n):
     # the Jacobi-matrix eigenvalues that seed the Newton polish are
     # scipy.special.roots_jacobi's nodes to float64 roundoff (measured
     # worst 8.25 eps, at n = 512)
-    seeds = []
-    monkeypatch.setattr(oracle, "linalg", SimpleNamespace(
-        eigvalsh_tridiagonal=lambda d, e: seeds.append(
-            linalg.eigvalsh_tridiagonal(d, e)) or seeds[-1]))
+    seeds, eigenvalues = [], oracle._tridiagonal_eigenvalues
+    monkeypatch.setattr(oracle, "_tridiagonal_eigenvalues", lambda d, e:
+                        seeds.append(eigenvalues(d, e)) or seeds[-1])
     for gamma in (0.0, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
         oracle._gj_rule.__wrapped__(n, gamma)
         want = roots_jacobi(n, 0.0, -gamma)[0]
         assert np.max(np.abs(seeds[-1] - want)) <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 0.99, 0.999])
+@pytest.mark.parametrize("n", [oracle.DENSE_SEED_MAX // 2,
+                               oracle.DENSE_SEED_MAX,
+                               2 * oracle.DENSE_SEED_MAX])
+def test_gauss_jacobi_rule_independent_of_the_seed_solver(monkeypatch, n,
+                                                           gamma):
+    # numpy's dense eigensolver and scipy's tridiagonal one seed the same
+    # polished rule, bit for bit, on either side of the switch between them
+    rules = []
+    for dense_max in (0, n):
+        monkeypatch.setattr(oracle, "DENSE_SEED_MAX", dense_max)
+        rules.append(oracle._gj_rule.__wrapped__(n, gamma))
+    (s_scipy, w_scipy), (s_numpy, w_numpy) = rules
+    assert np.array_equal(s_scipy, s_numpy)
+    assert np.array_equal(w_scipy, w_numpy)
 
 
 def test_gauss_jacobi_rule_size_limited():

@@ -62,11 +62,30 @@ class TestSolveDense:
         res = np.max(np.abs(A @ x - b))
         assert res <= 1e-10 * np.max(np.abs(A)) * max(1.0, np.max(np.abs(x)))
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_rejected(self):
         zero = toeplitz(np.zeros(3), np.zeros(3))
         with pytest.raises(solver.SingularSystemError):
             solver.solve_dense(system_of(zero, b=np.ones(3)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver.solve_dense(system_of(toeplitz([np.nan, 1.0], [0.0, 0.5]),
+                                        b=np.ones(2)))
+
+    @pytest.mark.parametrize("scheme", ["plc", "pqc"])
+    def test_lu_bitwise_equals_lu_factor(self, scheme):
+        # LAPACK called directly gives the bits of scipy's lu_factor and
+        # lu_solve, with the same refinement step, on the global tables'
+        # systems (both schemes, gamma in {0, 0.3, 0.7}, N = 16 .. 128)
+        for gamma in (0.0, 0.3, 0.7):
+            for N in (16, 32, 64, 128):
+                system = _manufactured(scheme, gamma, N)
+                A, b = system.matrix, system.rhs
+                factors = linalg.lu_factor(A)
+                want = linalg.lu_solve(factors, b)
+                want += linalg.lu_solve(factors, b - A @ want)
+                got = solver._solve_lu(A, b)
+                assert got.tobytes() == want.tobytes(), (gamma, N)
 
     def test_agrees_with_cholesky_on_spd(self):
         params, grid = KernelParams(0.6), UniformGrid(0.0, 1.0, 32)
@@ -343,6 +362,25 @@ def test_krylov_solve_leaves_scipy_fft_unloaded():
     assert _loaded_around_solve("scipy.fft", N) == ["False"] * 3
 
 
+def test_large_solve_loads_no_scipy():
+    # PLC N = 4096 from right-hand side to structure check: rules of at most
+    # 16 nodes, a Krylov solve and a Gershgorin verdict need no scipy module
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
+    code = (
+        "import sys\n"
+        "from nlcolloc import oracle, plc, solver\n"
+        "from nlcolloc.grid import KernelParams, UniformGrid\n"
+        "params, grid = KernelParams(0.7), UniformGrid(0.0, 1.0, 4096)\n"
+        "prob = oracle.exact_nonlocal_rhs(oracle.exponential(), grid, params)\n"
+        "system = plc.assemble_plc_system(params, grid, prob)\n"
+        "solver.solve_dense(system)\n"
+        "assert solver.check_structure(system).spdFactorizationOk\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[]"]
+
+
 class TestMinEigenvalue:
     def test_diagonal_matrix(self):
         A = np.diag([4.0, 1.0, 9.0])
@@ -375,8 +413,8 @@ class TestCheckStructure:
     def test_spd_flag_only_for_symmetric_operators(self):
         A = toeplitz([2, 2], [0, 0.5])
         assert solver.check_structure(system_of(A)).spdFactorizationOk is True
-        # [[2, 0], [5, 2]]: the upper triangle Cholesky reads is SPD, the
-        # matrix is not symmetric
+        # [[2, 0], [5, 2]]: dominant with a positive diagonal, but not
+        # symmetric
         report = solver.check_structure(system_of(toeplitz([2, 2], [0, -5],
                                                            [0, 0])))
         assert not report.symmetric
@@ -400,20 +438,16 @@ def test_spd_check_follows_the_schemes_symmetry(gamma, N):
 
 
 def _old_check_structure(A):
-    """check_structure as it was: whole-matrix formulas, and Cholesky for a
-    symmetric A."""
+    """check_structure from whole-matrix formulas, with Gershgorin's SPD
+    certificate for a symmetric A with a positive diagonal and every row
+    dominant by more than n times the symmetry tolerance."""
     diag = np.diag(A)
     off = A - np.diag(diag)
     slack = diag - np.sum(np.abs(off), axis=1)
-    symmetric = bool(np.allclose(A, A.T, rtol=0.0,
-                                 atol=1e-14 * np.max(np.abs(A))))
-    spd_ok = None
-    if symmetric:
-        try:
-            linalg.cholesky(A)
-            spd_ok = True
-        except linalg.LinAlgError:
-            spd_ok = False
+    atol = 1e-14 * np.max(np.abs(A))
+    symmetric = bool(np.allclose(A, A.T, rtol=0.0, atol=atol))
+    certified = (symmetric and np.all(diag > 0.0)
+                 and np.min(slack) > len(A) * atol)
     offdiag_mask = ~np.eye(len(A), dtype=bool)
     return solver.StructureReport(
         diagPositive=bool(np.all(diag > 0.0)),
@@ -421,7 +455,7 @@ def _old_check_structure(A):
         rowSums=np.sum(A, axis=1),
         minRowSlack=float(np.min(slack)),
         symmetric=symmetric,
-        spdFactorizationOk=spd_ok,
+        spdFactorizationOk=True if certified else None,
     )
 
 
@@ -446,6 +480,8 @@ def _assert_matches_reference(structure):
     assert (got.diagPositive, got.offDiagNegative, got.symmetric,
             got.spdFactorizationOk) == (want.diagPositive, want.offDiagNegative,
                                         want.symmetric, want.spdFactorizationOk)
+    if got.spdFactorizationOk:
+        linalg.cholesky(structure.dense())      # the certificate holds
     sums, slack = _fsum_reference(structure)
     assert np.all(np.abs(got.rowSums - sums) <= 2 * np.spacing(np.abs(sums)))
     assert abs(got.minRowSlack - slack) <= 2 * np.spacing(abs(slack))
@@ -573,7 +609,8 @@ def test_check_structure_bitwise_equals_block_row_walk(name, structure):
 
 
 def test_check_structure_never_forms_the_matrix(monkeypatch):
-    """Only the PLC Cholesky fallback reads the dense matrix."""
+    """check_structure reads only the generators, also of a symmetric
+    operator that Gershgorin cannot certify (KMS)."""
     calls = []
 
     def refuse(self):
@@ -585,11 +622,9 @@ def test_check_structure_never_forms_the_matrix(monkeypatch):
         structure, _ = _structure(scheme, 0.7, N)
         report = solver.check_structure(system_of(structure))
         assert report.diagPositive and report.offDiagNegative
-    assert calls == []
     kms = toeplitz(np.ones(5), -0.9 ** np.arange(5.0))
-    with pytest.raises(AssertionError, match="dense matrix formed"):
-        solver.check_structure(system_of(kms))
-    assert calls == [5]
+    assert solver.check_structure(system_of(kms)).symmetric
+    assert calls == []
 
 
 class TestLazyMatrix:
@@ -620,37 +655,30 @@ class TestLazyMatrix:
 
 
 class TestSpdFlag:
-    @pytest.fixture
-    def cholesky_calls(self, monkeypatch):
-        calls = []
+    """spdFactorizationOk is True where Gershgorin certifies a symmetric
+    operator and None otherwise; the dense matrix is never formed."""
 
-        def spy(A, *args, **kwargs):
-            calls.append(len(A))
-            return linalg_cholesky(A, *args, **kwargs)
+    def test_dominant_plc_operator_certified(self):
+        system = system_of(_structure("plc", 0.7, 64)[0])
+        assert solver.check_structure(system).spdFactorizationOk is True
+        assert "matrix" not in vars(system)
 
-        linalg_cholesky = linalg.cholesky
-        monkeypatch.setattr(solver.linalg, "cholesky", spy)
-        return calls
-
-    def test_dominant_plc_operator_skips_cholesky(self, cholesky_calls):
-        report = solver.check_structure(system_of(_structure("plc", 0.7, 64)[0]))
-        assert report.spdFactorizationOk is True
-        assert cholesky_calls == []
-
-    def test_non_dominant_spd_still_factorized(self, cholesky_calls):
-        # rho^|i-j| (Kac-Murdock-Szego) with rho near 1
-        A = toeplitz(np.ones(40), -0.9 ** np.arange(40.0))
-        report = solver.check_structure(system_of(A))
+    def test_non_dominant_spd_gets_no_verdict(self):
+        # rho^|i-j| (Kac-Murdock-Szego) with rho near 1: SPD, but its rows
+        # are far from dominant
+        system = system_of(toeplitz(np.ones(40), -0.9 ** np.arange(40.0)))
+        report = solver.check_structure(system)
         assert report.symmetric and report.minRowSlack < 0.0
-        assert report.spdFactorizationOk is True
-        assert cholesky_calls == [40]
+        assert report.spdFactorizationOk is None
+        assert "matrix" not in vars(system)
 
-    def test_symmetric_indefinite_reported(self, cholesky_calls):
+    def test_symmetric_indefinite_reported(self):
         # [[1, 2], [2, 1]]
-        report = solver.check_structure(system_of(toeplitz([1, 1], [0, -2])))
+        system = system_of(toeplitz([1, 1], [0, -2]))
+        report = solver.check_structure(system)
         assert report.symmetric
-        assert report.spdFactorizationOk is False
-        assert cholesky_calls == [2]
+        assert report.spdFactorizationOk is None
+        assert "matrix" not in vars(system)
 
 
 def test_gershgorin_reference_bound_positive():
