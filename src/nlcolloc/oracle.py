@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import KernelParams, UniformGrid
+from .solver import lapack
 
 MAX_NODES_PER_SIDE = 4096
 
 # Rules of up to this many nodes take their seeds from numpy's dense
-# symmetric eigensolver, larger ones from scipy's tridiagonal one, so that a
-# process building only small rules never imports scipy.linalg (about
-# 0.17 s).  One thread on a 2-core Xeon VM, gamma = 0.7: the dense seeds
+# symmetric eigensolver, larger ones from LAPACK's tridiagonal one (dstevd),
+# so that a process building only small rules never loads scipy (about
+# 12 ms).  One thread on a 2-core Xeon VM, gamma = 0.7: the dense seeds
 # cost 0.2 ms at 64 nodes, 3.7 ms at 256 and 19 ms at 512, against 2.0, 14
 # and 48 ms for the whole rule; at 1024 nodes they cost 147 ms, as much as
 # the rule.  Both give the same polished rule, bit for bit.
@@ -135,11 +136,14 @@ def _tridiagonal_eigenvalues(diagonal: np.ndarray,
                              off: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of the symmetric tridiagonal matrix with this
     diagonal and off-diagonal: numpy's dense solver on its lower triangle up
-    to DENSE_SEED_MAX rows, scipy's tridiagonal solver above."""
+    to DENSE_SEED_MAX rows, LAPACK's dstevd above (what
+    scipy.linalg.eigvalsh_tridiagonal calls)."""
     n = len(diagonal)
     if n > DENSE_SEED_MAX:
-        from scipy.linalg import eigvalsh_tridiagonal
-        return eigvalsh_tridiagonal(diagonal, off)
+        eigenvalues, _, info = lapack().dstevd(diagonal, off, compute_v=0)
+        if info != 0:
+            raise OracleError(f"dstevd failed on {n} seeds (info = {info})")
+        return eigenvalues
     lower = np.diag(diagonal)
     lower[np.arange(1, n), np.arange(n - 1)] = off
     return np.linalg.eigvalsh(lower)

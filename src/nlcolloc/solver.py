@@ -1,8 +1,10 @@
 """Solves and structural diagnostics shared by both collocation schemes."""
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import machinery, util
 from typing import Optional
 
 import numpy as np
@@ -173,12 +175,26 @@ def solve_dense(system: CollocationSystem) -> np.ndarray:
 
 
 def lapack():
-    """scipy.linalg.lapack, imported on first call: only the LU path needs
-    it, and importing scipy.linalg costs about 0.17 s, more than most CLI
-    commands take in all.  A program that solves small systems throughout
-    calls this once at start-up."""
-    from scipy.linalg import lapack
-    return lapack
+    """scipy's compiled LAPACK module, scipy.linalg._flapack, loaded on first
+    call without running the scipy.linalg package: importing that package
+    costs about 0.17 s, more than most CLI commands take in all, and the
+    module with the bare scipy package about 12 ms.  It is registered under
+    its own name, so that a later import of scipy.linalg shares it.  A
+    program that solves small systems throughout calls this once at
+    start-up."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy        # on Windows wheels, sets up the DLL search path
+        spec = machinery.FileFinder(
+            f"{scipy.__path__[0]}/linalg",
+            (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+        ).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {name} in {scipy.__path__[0]}")
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
 
 
 def _solve_lu(A: np.ndarray, b: np.ndarray) -> np.ndarray:

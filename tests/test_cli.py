@@ -405,9 +405,9 @@ def test_cli_commands_load_no_scipy_special(scipy_after_cli_commands):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "converge solves by LU, which loads scipy.linalg.lapack: ROADMAP item 6 "
-    "lets numpy's LU replace it, and item 10 then makes numpy the only "
-    "runtime dependency"))
+    "converge solves by LU, which loads scipy and its LAPACK module through "
+    "solver.lapack(): ROADMAP items 15 and 3 let numpy's LU replace it, and "
+    "item 10 then makes numpy the only runtime dependency"))
 def test_cli_commands_load_no_scipy(scipy_after_cli_commands):
     assert scipy_after_cli_commands == []
 
@@ -423,8 +423,8 @@ NO_LU_COMMANDS = (
 
 
 def test_commands_without_lu_solves_load_no_scipy():
-    # importing scipy.linalg takes most of a cold call; only an LU solve or
-    # a Gauss-Jacobi rule above oracle.DENSE_SEED_MAX nodes loads it
+    # only an LU solve or a Gauss-Jacobi rule above oracle.DENSE_SEED_MAX
+    # nodes loads scipy, through solver.lapack(), at about 12 ms
     code = ("import contextlib, io, sys\n"
             "from nlcolloc import cli\n"
             "loaded = lambda: [m for m in sys.modules "

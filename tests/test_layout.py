@@ -1,12 +1,14 @@
 """Source layout: no module imports a name it never uses, no function has
 a parameter it never reads, and the library imports no third-party module
-besides the ones it runs on, scipy only inside the functions that call it.
+besides the ones it runs on: numpy, and the bare scipy package, imported
+once, inside solver.lapack(), to load scipy's LAPACK module.
 
 The environment has no linter; these are the lint rules the package keeps,
 so that deleting code also deletes the imports only it needed.
 """
 
 import ast
+import fnmatch
 import sys
 from pathlib import Path
 
@@ -16,8 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "nlcolloc").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 MODULES = sorted([*LIBRARY, *SCRIPTS, ROOT / "tests" / "reference.py"])
-# what the library runs on; scipy.integrate and the rest serve only tests
-THIRD_PARTY = ("numpy", "scipy.linalg")
+# what the library runs on, as fnmatch patterns: numpy and its submodules,
+# and the bare scipy package; scipy.linalg, scipy.integrate and the rest
+# serve only tests
+THIRD_PARTY = ("numpy", "numpy.*", "scipy")
 
 
 def imported_names(tree):
@@ -103,8 +107,8 @@ def test_library_imports_only_its_runtime_dependencies():
     foreign = [f"{path.name}: {module}" for path in LIBRARY
                for module in imported_modules(ast.parse(path.read_text()))
                if module.split(".")[0] not in sys.stdlib_module_names
-               and not any(module == name or module.startswith(name + ".")
-                           for name in THIRD_PARTY)]
+               and not any(fnmatch.fnmatchcase(module, pattern)
+                           for pattern in THIRD_PARTY)]
     assert not foreign
 
 
@@ -121,10 +125,33 @@ def module_level_imports(tree):
 
 
 def test_library_imports_scipy_only_inside_functions():
-    # importing scipy.linalg takes about 0.17 s, most of a cold CLI call;
-    # only the calls that use it (an LU solve, a large Gauss-Jacobi rule)
-    # may pay for it
+    # loading scipy and its LAPACK module costs about 12 ms; only the calls
+    # that use LAPACK (an LU solve, a large Gauss-Jacobi rule) may pay for it
     eager = [f"{path.name}: {module}" for path in LIBRARY
              for module in module_level_imports(ast.parse(path.read_text()))
              if module.split(".")[0] == "scipy"]
     assert not eager
+
+
+def scipy_import_sites(tree):
+    """The innermost function around each import statement that names a
+    scipy module, None for one outside every function."""
+    def visit(node, function):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and any(module.split(".")[0] == "scipy"
+                        for module in imported_modules(node))):
+            yield function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+    return list(visit(tree, None))
+
+
+def test_library_imports_scipy_once_in_solver_lapack():
+    # the scipy.linalg package takes about 0.17 s to import, mostly for
+    # modules the library never calls; solver.lapack() loads the one LAPACK
+    # module it needs without that package, and every other caller goes
+    # through it
+    sites = [(path.name, function) for path in LIBRARY
+             for function in scipy_import_sites(ast.parse(path.read_text()))]
+    assert sites == [("solver.py", "lapack")]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -536,6 +537,30 @@ def test_gauss_jacobi_rule_independent_of_the_seed_solver(monkeypatch, n,
     (s_scipy, w_scipy), (s_numpy, w_numpy) = rules
     assert np.array_equal(s_scipy, s_numpy)
     assert np.array_equal(w_scipy, w_numpy)
+
+
+@pytest.mark.parametrize("n", [oracle.DENSE_SEED_MAX + 1, 300, 512, 1024])
+def test_tridiagonal_seeds_bitwise_equal_eigvalsh_tridiagonal(monkeypatch, n):
+    # above DENSE_SEED_MAX the seeds come from LAPACK's dstevd, called as
+    # scipy.linalg.eigvalsh_tridiagonal calls it: the same bits
+    matrices, eigenvalues = [], oracle._tridiagonal_eigenvalues
+    monkeypatch.setattr(oracle, "_tridiagonal_eigenvalues", lambda d, e:
+                        matrices.append((d, e)) or eigenvalues(d, e))
+    for gamma in (0.0, 0.3, 0.7, 0.99, 0.999):
+        oracle._gj_rule.__wrapped__(n, gamma)
+    assert len(matrices) == 5
+    for d, e in matrices:
+        got = eigenvalues(d, e)
+        assert got.tobytes() == linalg.eigvalsh_tridiagonal(d, e).tobytes()
+
+
+def test_tridiagonal_seed_failure_raises(monkeypatch):
+    # a nonzero LAPACK info is an oracle failure, not a set of seeds
+    failing = SimpleNamespace(dstevd=lambda *args, **kwargs: (None, None, 1))
+    monkeypatch.setattr(oracle, "lapack", lambda: failing)
+    n = oracle.DENSE_SEED_MAX + 1
+    with pytest.raises(OracleError, match="dstevd"):
+        oracle._tridiagonal_eigenvalues(np.zeros(n), np.ones(n - 1))
 
 
 def test_gauss_jacobi_rule_size_limited():

@@ -381,6 +381,39 @@ def test_large_solve_loads_no_scipy():
     assert out.split() == ["[]"]
 
 
+def _run_python(code):
+    """The words code prints, run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_lapack_loaded_first_is_shared_with_scipy_linalg():
+    # solver.lapack() loads scipy's LAPACK module without the scipy.linalg
+    # package; importing the package afterwards reuses that module object,
+    # and its lu_factor works
+    assert _run_python(
+        "import sys\n"
+        "import numpy as np\n"
+        "from nlcolloc import solver\n"
+        "module = solver.lapack()\n"
+        "print('scipy.linalg' in sys.modules, solver.lapack() is module)\n"
+        "import scipy.linalg\n"
+        "print(scipy.linalg.lapack._flapack is module)\n"
+        "A, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0])\n"
+        "x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)\n"
+        "print(np.allclose(A @ x, b))\n"
+    ) == ["False", "True", "True", "True"]
+
+
+def test_lapack_after_scipy_linalg_is_scipys_module():
+    assert _run_python(
+        "import scipy.linalg\n"
+        "from nlcolloc import solver\n"
+        "print(solver.lapack() is scipy.linalg.lapack._flapack)\n"
+    ) == ["True"]
+
+
 class TestMinEigenvalue:
     def test_diagonal_matrix(self):
         A = np.diag([4.0, 1.0, 9.0])

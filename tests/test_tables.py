@@ -69,6 +69,32 @@ def test_global_tables_match_reference(tmp_path):
     assert_written_as_recorded(tmp_path, expected)
 
 
+def test_tables_and_converge_leave_scipy_linalg_unloaded(tmp_path):
+    # the script loads scipy's LAPACK module at start-up, and the tables and
+    # a converge call solve by LU, all without importing the scipy.linalg
+    # package (about 0.17 s)
+    code = ("import contextlib, importlib.util, io, sys\n"
+            "spec = importlib.util.spec_from_file_location("
+            "'reproduce_tables', sys.argv[1])\n"
+            "script = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(script)\n"
+            "loaded = lambda: [name in sys.modules for name in "
+            "('scipy.linalg._flapack', 'scipy.linalg')]\n"
+            "print(*loaded())\n"
+            "from nlcolloc import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    script.main(['', sys.argv[2]])\n"
+            "    status = cli.main(['converge', '--scheme', 'pqc', "
+            "'--gamma', '0.7', '--levels', '16,32'])\n"
+            "print(status, *loaded())\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code,
+         str(ROOT / "scripts" / "reproduce_tables.py"), str(tmp_path)],
+        env=PINNED, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False", "0", "True", "False"]
+
+
 @pytest.mark.parametrize("command", sorted(REFERENCE["cli"]))
 def test_cli_output_matches_reference(command):
     expected = REFERENCE["cli"][command]
