@@ -11,8 +11,6 @@ case and keeps its own shape.  Each row is rounded exactly as that cell
 alone would be.
 """
 
-import math
-
 import numpy as np
 
 
@@ -90,27 +88,3 @@ def cell_integral(x: float, cell_nodes: np.ndarray, cell_values: np.ndarray,
     values = np.matmul(c[..., None, :], mom[..., :, None])[..., 0, 0]
     return float(values) if values.ndim == 0 else values
 
-
-def piecewise_integral(x: float, points: np.ndarray, samples: np.ndarray,
-                       degree: int, gamma: float) -> float:
-    """int u_p(y) |x - y|^(-gamma) dy for the piecewise polynomial u_p of the
-    given degree p that interpolates samples at the lattice points.
-
-    Cell j spans the p + 1 points p*j .. p*j + p; all cells are integrated
-    in one cell_integral call and added strictly left to right by cumsum
-    (np.sum adds pairwise, which rounds differently).  A sample count other
-    than len(points) raises ValueError; a total that is not finite (the
-    moments of cells far from 0 overflow) raises FloatingPointError.
-    """
-    if len(samples) != len(points):
-        raise ValueError(f"expected {len(points)} samples, got {len(samples)}")
-    # the lattice indices of each cell, one row per cell
-    cells = (degree * np.arange((len(points) - 1) // degree)[:, None]
-             + np.arange(degree + 1))
-    with np.errstate(over="ignore", invalid="ignore"):    # raised below
-        values = cell_integral(x, points[cells], samples[cells], gamma)
-        total = float(np.cumsum(values)[-1])
-    if not math.isfinite(total):
-        raise FloatingPointError(
-            f"the interpolant integral at x={x!r} is not finite")
-    return total

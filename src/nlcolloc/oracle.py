@@ -302,11 +302,15 @@ def _singular_integrals(u: TestFunction, interval, params: KernelParams,
     M*step = b - a, and takes the levels from _lattice_sides instead."""
     a, b = interval
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be 1-D, got shape {xs.shape}")
     outside = ~((a < xs) & (xs < b))
     if outside.any():
         raise ValueError(f"x={xs[outside][0]} must lie strictly inside ({a}, {b})")
-    if tol < 1e-14:
-        raise ValueError("tol below 1e-14 is not attainable in double precision")
+    # a nan tol would never converge, an infinite one at the first level
+    if not (math.isfinite(tol) and tol >= 1e-14):
+        raise ValueError(f"tol must be finite and >= 1e-14 (a smaller one "
+                         f"is not attainable in double precision), got {tol!r}")
     gamma = params.gamma
     if step is None:
         sides = _point_sides(u, a, b, gamma, xs)

@@ -107,18 +107,6 @@ class ToeplitzStructure:
         y *= self.scale
         return y
 
-    def rule(self, boundary: tuple, samples: np.ndarray) -> np.ndarray:
-        """The rule at every row, scale * (T u + left u(a) + right u(b)), from
-        one FFT product as scale * (diag u + left u(a) + right u(b)) - A u.
-        samples holds u(a), the unknowns u in row order, then u(b); boundary
-        is the pair (left, right) of boundary columns."""
-        if len(samples) != len(self.diag) + 2:
-            raise ValueError(f"expected {len(self.diag) + 2} samples, "
-                             f"got {len(samples)}")
-        (left, right), u = boundary, samples[1:-1]
-        return self.scale * (self.diag * u + left * samples[0]
-                             + right * samples[-1]) - self.matvec(u)
-
     def diagonal(self) -> np.ndarray:
         """The matrix diagonal: each diagonal block's Toeplitz diagonal is the
         first entry of its first column."""

@@ -7,7 +7,7 @@ renders the results as CSV or Markdown tables.
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Optional, Union
 
 import numpy as np
@@ -22,11 +22,7 @@ from .oracle import (ManufacturedProblem, TestFunction, exact_nonlocal_rhs,
 FLOOR = 1e-12
 
 # The one place a scheme name is mapped to its definition: the module that
-# provides weights(params, grid), structure(weights), boundary(weights),
-# lattice(grid), nodes(grid), rule(weights, samples),
-# interpolant_integral(params, grid, samples, x),
-# assemble(params, grid, problem) and truncation(params, grid, u, x, tol),
-# whose tol defaults to oracle.ORACLE_TOL, the accuracy every table uses.
+# provides the interface set out in collocation's docstring.
 SCHEMES = {"plc": plc, "pqc": pqc}
 
 # Eval points: "center" resolves to the lattice point a + (b-a)/2 (the
@@ -50,6 +46,9 @@ class StudyConfig:
         KernelParams(self.gamma)  # range check
         if not self.levels:
             raise ValueError("levels must be a non-empty increasing list")
+        for N in self.levels:   # UniformGrid's rule; the nesting check divides
+            if not (isinstance(N, Integral) and N >= 2):
+                raise ValueError(f"each level must be an integer >= 2, got {N!r}")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
         if any(b % a for a, b in zip(self.levels, self.levels[1:])):

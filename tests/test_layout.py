@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from nlcolloc import collocation
+
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "nlcolloc").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -155,3 +157,15 @@ def test_library_imports_scipy_once_in_solver_lapack():
     sites = [(path.name, function) for path in LIBRARY
              for function in scipy_import_sites(ast.parse(path.read_text()))]
     assert sites == [("solver.py", "lapack")]
+
+
+def test_schemes_define_none_of_the_shared_functions():
+    # collocation writes these once for both schemes; a scheme module
+    # defines only what differs, so a copy in one of them cannot come back
+    shared = {function.__name__ for function in collocation.SHARED}
+    copies = [f"{name}: {node.name}" for name in ("plc.py", "pqc.py")
+              for node in ast.walk(ast.parse(
+                  (ROOT / "src" / "nlcolloc" / name).read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name in shared]
+    assert shared and not copies

@@ -84,9 +84,12 @@ class TestSingularIntegral:
             singular_integral(constant(), (0.0, 1.0), KernelParams(0.5), 1.0)
 
     def test_unattainable_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="1e-14"):
-            singular_integral(constant(), (0.0, 1.0), KernelParams(0.5),
-                              0.5, tol=1e-16)
+        # a nan tol once passed the check, doubled to 4096 nodes per side
+        # and raised OracleError; an infinite one took the first level
+        for tol in (1e-16, np.nan, np.inf):
+            with pytest.raises(ValueError, match="1e-14"):
+                singular_integral(constant(), (0.0, 1.0), KernelParams(0.5),
+                                  0.5, tol=tol)
 
     def test_general_interval(self):
         got = singular_integral(monomial(2), (-1.0, 2.0),
@@ -342,9 +345,16 @@ class TestBatchedFailures:
             singular_integrals(constant(), (0.0, 1.0), KernelParams(0.5), xs)
 
     def test_unattainable_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="1e-14"):
-            singular_integrals(constant(), (0.0, 1.0), KernelParams(0.5),
-                               np.array([0.25, 0.5]), tol=1e-15)
+        for tol in (1e-15, np.nan, np.inf):
+            with pytest.raises(ValueError, match="1e-14"):
+                singular_integrals(constant(), (0.0, 1.0), KernelParams(0.5),
+                                   np.array([0.25, 0.5]), tol=tol)
+
+    @pytest.mark.parametrize("xs", [0.5, [[0.25], [0.5]]])
+    def test_points_not_one_dimensional_rejected(self, xs):
+        # a 2-D xs once failed with a numpy broadcast error
+        with pytest.raises(ValueError, match="1-D"):
+            singular_integrals(constant(), (0.0, 1.0), KernelParams(0.5), xs)
 
 
 @pytest.mark.parametrize("gamma, rtol", [(0.7, 1e-12), (0.95, 1e-12),

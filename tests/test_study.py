@@ -48,6 +48,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="multiple"):
             StudyConfig("plc", 0.5, (16, 24))
 
+    @pytest.mark.parametrize("levels", [(0, 4), (1, 2), (-4, 8),
+                                        (16.0, 32.0)])
+    def test_levels_are_grid_sizes(self, levels):
+        # (0, 4) once raised ZeroDivisionError in the nesting check; the
+        # others were accepted and failed only when the study ran
+        with pytest.raises(ValueError, match="integer >= 2"):
+            StudyConfig("plc", 0.5, levels)
+
     def test_scheme_checked(self):
         with pytest.raises(ValueError, match="scheme"):
             StudyConfig("spline", 0.5, (16,))
@@ -297,11 +305,39 @@ def test_scheme_interface_and_traced_names_resolve():
     # the benchmark's manufactured right-hand sides use the tables' accuracy
     assert child.ORACLE_TOL == oracle.ORACLE_TOL
     for definition in study.SCHEMES.values():
-        for function in ("weights", "structure", "boundary", "lattice",
-                         "nodes", "rule", "interpolant_integral", "assemble",
-                         "truncation"):
+        for function in ("weights", "structure", "boundary", "order",
+                         "lattice", "nodes", "rule", "interpolant_integral",
+                         "assemble", "truncation"):
             assert callable(getattr(definition, function)), \
                 f"{definition.__name__}.{function}"
+
+
+def test_shared_functions_call_through_the_scheme_attributes(monkeypatch):
+    # collocation looks a scheme's functions up at call time, so a function
+    # rebound on the scheme module (the benchmark's tracer, the monkeypatches
+    # here) sees every call the shared functions make
+    calls = []
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(plc, "interpolant_integral",
+                        counting("interpolant_integral", plc.interpolant_integral))
+    monkeypatch.setattr(pqc, "structure", counting("structure", pqc.structure))
+    params, grid, u = KernelParams(0.5), UniformGrid(0.0, 1.0, 8), exponential()
+    plc.truncation(params, grid, u, 0.5)
+    plc.truncation_error(params, grid, u, 0.5)
+    assert calls == ["interpolant_integral"] * 2
+    study.run_truncation_study(StudyConfig("plc", 0.5, (8, 16)))
+    assert calls == ["interpolant_integral"] * 4
+    calls.clear()
+    pqc.rule(pqc.weights(params, grid), u(pqc.lattice(grid)))
+    assert calls == ["structure"]
+    pqc.assemble(params, grid, exact_nonlocal_rhs(u, grid, params, nodes="pqc"))
+    assert calls == ["structure"] * 2
 
 
 def test_every_oracle_tolerance_defaults_to_the_oracles():
