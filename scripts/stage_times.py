@@ -4,6 +4,10 @@ evaluation, untraced.
 
 Usage: OPENBLAS_NUM_THREADS=1 python scripts/stage_times.py [gamma] [repeats]
 
+The first line gives the number of CPUs the process may run on: weight
+tables of coeffs.SPLIT_MIN_POINTS points or more are filled on two threads
+when it is more than one, so the weights column depends on it.
+
 For PLC N=4096 and PQC N=2048 (n = 4095 unknowns each, u = e^x on (0, 1),
 oracle tolerance oracle.ORACLE_TOL) prints the wall time in ms of each stage:
 weight tables, right-hand side, assemble (its own weight tables included),
@@ -40,7 +44,7 @@ import sys
 import time
 import tracemalloc
 
-from nlcolloc import oracle, solver
+from nlcolloc import coeffs, oracle, solver
 from nlcolloc.grid import KernelParams, UniformGrid
 from nlcolloc.study import (SCHEMES, StudyConfig, run_global_study,
                             run_truncation_study)
@@ -132,6 +136,7 @@ def main(argv):
     gamma = float(argv[1]) if len(argv) > 1 else 0.7
     repeats = int(argv[2]) if len(argv) > 2 else 3
     params = KernelParams(gamma)
+    print(f"# cpus={coeffs._cpus()}")
     print("case,weights_ms,rhs_ms,assemble_ms,solve_ms,check_ms,peak_mb,"
           "lu_calls")
     for scheme, N in CASES:

@@ -5,9 +5,13 @@ differences cancel severely for large indices, so the closed forms are
 evaluated in extended precision (x87 long double) and rounded to float64
 once per table.  The powers are tabulated once per lattice point: j^(e-gamma)
 for PLC and (j/2)^(e-gamma) for PQC, one table per exponent, and every
-closed form reads them by slice or index.
+closed form reads them by slice or index.  A large table is filled in two
+halves, one on a helper thread, when the process may use more than one CPU;
+each entry is still one long-double power, so the tables do not change.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,30 @@ def eta_scaling(h: float, gamma: float) -> float:
     return h ** (1.0 - gamma) / ((3.0 - gamma) * (2.0 - gamma) * (1.0 - gamma))
 
 
+# Power tables of at least this many points are filled in two halves, the
+# lower one on a helper thread, when the process may run on more than one
+# CPU.  numpy drops the GIL only in loops of more than 500 elements, so
+# smaller halves run one after the other and the thread is pure cost.  2-core
+# Xeon VM, gamma = 0.7, median of 200 calls, exponents (2, 1) / (3, 2, 1):
+# 896 points took 0.76 / 1.24 ms on one thread and 1.11 / 1.43 ms split,
+# 1024 points 0.83 / 1.25 ms and 0.56 / 0.86 ms, 2048 points 2.27 / 3.16 ms
+# and 1.40 / 1.92 ms.  PLC tables have N + 1 points, PQC tables 2N.
+SPLIT_MIN_POINTS = 1024
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill(tables, z, g, exponents, part: slice) -> None:
+    """table[part] = z[part] ** (e - g) for each table and exponent e."""
+    for table, e in zip(tables, exponents):
+        np.power(z[part], e - g, out=table[part])
+
+
 def _powers(top: int, gamma: float, exponents, halves: bool = False):
     """One long-double table per exponent e: z ** (e - gamma) for z = j, or
     z = j/2 when halves, over j = 0..top."""
@@ -44,7 +72,27 @@ def _powers(top: int, gamma: float, exponents, halves: bool = False):
     if halves:
         z = z / 2
     g = _LD(gamma)
-    return [z ** (e - g) for e in exponents]
+    tables = [np.empty_like(z) for _ in exponents]
+    if z.size < SPLIT_MIN_POINTS or _cpus() < 2:
+        _fill(tables, z, g, exponents, slice(None))
+        return tables
+    mid, failed = z.size // 2, []
+
+    def lower():
+        try:
+            _fill(tables, z, g, exponents, slice(mid))
+        except BaseException as exc:     # re-raised on the calling thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=lower)
+    helper.start()
+    try:
+        _fill(tables, z, g, exponents, slice(mid, None))
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+    return tables
 
 
 # --- piecewise linear weights ------------------------------------------------

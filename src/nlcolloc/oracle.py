@@ -7,6 +7,7 @@ test function carries a convergent-series second opinion.
 """
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -81,22 +82,40 @@ def exponential() -> TestFunction:
 def kernel_row_integral(a: float, b: float, gamma: float, x):
     """int_a^b |x - y|^(-gamma) dy = [(x-a)^(1-g) + (b-x)^(1-g)] / (1-g).
 
-    x may be a float or an array of points.
+    x may be a float or a 1-D array of points, each in [a, b].
     """
-    e = 1.0 - gamma
-    return (_pow(x - a, e) + _pow(b - x, e)) / e
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"x must be a float or 1-D, got shape {xs.shape}")
+    outside = ~((a <= xs) & (xs <= b))     # nan included
+    if outside.any():
+        raise ValueError(f"x={float(xs[outside][0])!r} must lie in [{a}, {b}]")
+    row = _kernel_row(_side_powers(a, b, gamma, xs.reshape(-1)), gamma)
+    return float(row[0]) if xs.ndim == 0 else row
 
 
-def _pow(base, e: float):
-    """base ** e per element with the C library's pow.
+def _side_powers(a: float, b: float, gamma: float, x: np.ndarray):
+    """(x - a)^(1-gamma), then (b - x)^(1-gamma), for every x of the 1-D
+    array x, in one array: the powers that the kernel row and the
+    exponential series share."""
+    return _pow(_sides(a, b, x)[0], 1.0 - gamma)
+
+
+def _kernel_row(powers: np.ndarray, gamma: float) -> np.ndarray:
+    """kernel_row_integral at the points whose _side_powers these are."""
+    n = powers.size // 2
+    return (powers[:n] + powers[n:]) / (1.0 - gamma)
+
+
+def _pow(base: np.ndarray, e: float) -> np.ndarray:
+    """base ** e per element of a 1-D array with the C library's pow.
 
     numpy's vectorised power (like its exp) can differ from the C library in
     the last bit, depending on the CPU's SIMD support; the oracle's values
     must not.
     """
-    if np.ndim(base) == 0:
-        return float(base) ** e
-    return np.array([v ** e for v in base.tolist()])
+    return np.fromiter(map(math.pow, base.tolist(), itertools.repeat(e)),
+                       float, count=base.size)
 
 
 # --- Gauss-Jacobi route -----------------------------------------------------
@@ -296,10 +315,11 @@ def singular_integrals(u: TestFunction, interval, params: KernelParams,
 
 
 def _singular_integrals(u: TestFunction, interval, params: KernelParams,
-                        xs, tol: float, step=None) -> np.ndarray:
+                        xs, tol: float, step=None, powers=None) -> np.ndarray:
     """singular_integrals, with the Gauss-Jacobi levels from _point_sides;
     a step says that u is e^y and xs = a + i*step for i = 1..M-1, with
-    M*step = b - a, and takes the levels from _lattice_sides instead."""
+    M*step = b - a, and takes the levels from _lattice_sides instead.
+    powers, if given, are the _side_powers of xs, for the series."""
     a, b = interval
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -351,7 +371,7 @@ def _singular_integrals(u: TestFunction, interval, params: KernelParams,
     if u.kind == "exp":
         # the series carries less roundoff than the quadrature weights, so
         # after the two routes validate each other, prefer its value
-        ref = _exp_integral_series(a, b, gamma, xs, tol)
+        ref = _exp_integral_series(a, b, gamma, xs, tol, powers)
         # mixed like the doubling gate: a large |I|'s roundoff is no error
         bad = np.abs(values - ref) > 100.0 * tol + 2e-14 * np.abs(ref)
         if bad.any():
@@ -371,15 +391,15 @@ def singular_integral(u: TestFunction, interval, params: KernelParams,
 
 # --- independent second routes ---------------------------------------------
 
-def _exp_power_series(c: np.ndarray, sign: np.ndarray, gamma: float,
-                      tol: float) -> np.ndarray:
+def _exp_power_series(c: np.ndarray, sign: np.ndarray, cpow: np.ndarray,
+                      gamma: float, tol: float) -> np.ndarray:
     """int_0^c e^(sign*t) t^(-gamma) dt by its convergent series, for each
-    pair of c and sign in 1-D arrays (0 where c <= 0); each element stops at
-    its own term."""
+    triple of c, sign and cpow = c^(1-gamma) in 1-D arrays (0 where c <= 0);
+    each element stops at its own term."""
     total = np.zeros(c.size)
     todo = np.flatnonzero(c > 0.0)
     step = (sign * c)[todo]
-    cpow = _pow(c[todo], 1.0 - gamma)
+    cpow = cpow[todo]
     partial = np.zeros(todo.size)
     term_base = np.ones(todo.size)  # sign^k c^k / k!
     for k in range(0, 500):
@@ -399,9 +419,13 @@ def _exp_power_series(c: np.ndarray, sign: np.ndarray, gamma: float,
 
 
 def _exp_integral_series(a: float, b: float, gamma: float, x: np.ndarray,
-                         tol: float) -> np.ndarray:
-    sides = _exp_power_series(*_sides(a, b, x), gamma, tol)
-    return np.array([math.exp(v) for v in x.tolist()]) \
+                         tol: float, powers=None) -> np.ndarray:
+    """I(a, b, x) for u = e^y at every x of the 1-D array x by the series;
+    powers, if given, are the _side_powers of x."""
+    if powers is None:
+        powers = _side_powers(a, b, gamma, x)
+    sides = _exp_power_series(*_sides(a, b, x), powers, gamma, tol)
+    return np.fromiter(map(math.exp, x.tolist()), float, count=x.size) \
         * (sides[:x.size] + sides[x.size:])
 
 
@@ -427,10 +451,10 @@ def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
     if p is None:
         raise ValueError(f"unknown node set {nodes!r}")
     xs, step = grid.lattice(p)[1:-1], grid.h / p
+    powers = _side_powers(grid.a, grid.b, params.gamma, xs)
     # the integral first: where e^y overflows it raises before u(xs) warns
     integral = _singular_integrals(u, (grid.a, grid.b), params, xs, tol,
-                                   step if u.kind == "exp" else None)
-    f = u(xs) * kernel_row_integral(grid.a, grid.b, params.gamma, xs) \
-        - integral
+                                   step if u.kind == "exp" else None, powers)
+    f = u(xs) * _kernel_row(powers, params.gamma) - integral
     return ManufacturedProblem(
         fValues=f, boundary=(float(u(grid.a)), float(u(grid.b))))

@@ -53,6 +53,8 @@ class StudyConfig:
             raise ValueError("levels must be strictly increasing")
         if any(b % a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("each level must be a multiple of the previous")
+        # the interval's rules; each coarser lattice is a subset of the finest
+        UniformGrid(*self.interval, self.levels[-1])
         for pt in self.evalPoints:
             if pt not in ("center", "first") and not isinstance(pt, Real):
                 raise ValueError(f"unknown eval point {pt!r}")

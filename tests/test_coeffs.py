@@ -2,6 +2,8 @@
 and agreement with quadrature on the boundary basis functions."""
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -289,6 +291,65 @@ def test_single_closed_forms_bitwise_equal_per_element_forms(gamma):
     assert plc_tables(gamma, 102).g[k].tobytes() == \
         _ref_plc_interior(k, gamma).tobytes()
     assert pqc_tables(gamma, 2).p[0] == _ref_pqc_p0(gamma)
+
+
+# --- power tables filled on two threads -------------------------------------
+
+def _record_fill_threads(monkeypatch, cpus):
+    """Make coeffs._cpus return cpus[0] and record the thread of each _fill."""
+    threads, fill = [], coeffs._fill
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return fill(*args)
+
+    monkeypatch.setattr(coeffs, "_cpus", lambda: cpus[0])
+    monkeypatch.setattr(coeffs, "_fill", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("N", BITWISE_SIZES)
+@pytest.mark.parametrize("scheme", ["plc", "pqc"])
+def test_large_power_tables_filled_on_two_threads(scheme, N, monkeypatch):
+    # a helper thread fills half of each table of SPLIT_MIN_POINTS points or
+    # more, only when more than one CPU is usable; the tables are the same
+    # bytes either way
+    weights, points = {"plc": (coeffs.plc_weights, N + 1),
+                       "pqc": (coeffs.pqc_weights, 2 * N)}[scheme]
+    params, grid = KernelParams(0.7), UniformGrid(0.0, 1.0, N)
+    cpus = [1]
+    threads = _record_fill_threads(monkeypatch, cpus)
+    single = weights(params, grid)
+    assert set(threads) == {threading.get_ident()}
+    cpus[0] = 2
+    threads.clear()
+    split = weights(params, grid)
+    helper = set(threads) - {threading.get_ident()}
+    assert len(helper) == (points >= coeffs.SPLIT_MIN_POINTS)
+    assert helper or N < 2048           # the large solves always split
+    _assert_fields_bitwise_equal(split, single)
+
+
+def test_helper_thread_error_raised_by_the_weights(monkeypatch):
+    caller, fill = threading.get_ident(), coeffs._fill
+
+    def failing_off_caller(*args):
+        if threading.get_ident() != caller:
+            raise FloatingPointError("helper failed")
+        return fill(*args)
+
+    monkeypatch.setattr(coeffs, "_cpus", lambda: 2)
+    monkeypatch.setattr(coeffs, "_fill", failing_off_caller)
+    with pytest.raises(FloatingPointError, match="helper failed"):
+        plc_tables(0.7, 4096)
+
+
+def test_cpus_without_affinity_is_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert coeffs._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert coeffs._cpus() == 1
 
 
 def test_one_evaluation_per_pqc_family(monkeypatch):

@@ -33,6 +33,24 @@ class TestKernelRowIntegral:
         assert kernel_row_integral(0.0, 1.0, 0.6, 0.25) == pytest.approx(
             kernel_row_integral(0.0, 1.0, 0.6, 0.75), rel=1e-14)
 
+    def test_endpoints_accepted(self):
+        row = kernel_row_integral(0.0, 1.0, 0.5, np.array([0.0, 1.0]))
+        assert row.tolist() == [2.0, 2.0]
+        assert kernel_row_integral(0.0, 1.0, 0.5, 1.0) == 2.0
+
+    @pytest.mark.parametrize("x, named", [
+        (2.0, "x=2.0"), (-0.5, "x=-0.5"), (np.nan, "x=nan"),
+        (np.inf, "x=inf"), (np.array([0.5, 1.5, 0.25]), "x=1.5")])
+    def test_point_outside_interval_rejected(self, x, named):
+        # 2.0 once gave (2.83+2j), and an array with one such point a
+        # complex array
+        with pytest.raises(ValueError, match=f"{named} must lie in"):
+            kernel_row_integral(0.0, 1.0, 0.5, x)
+
+    def test_points_not_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            kernel_row_integral(0.0, 1.0, 0.5, np.array([[0.25], [0.5]]))
+
 
 class TestTestFunction:
     def test_unknown_kind_rejected(self):
@@ -284,6 +302,21 @@ def test_lattice_rhs_bitwise_equals_point_route(gamma):
 
 
 @pytest.mark.parametrize("nodes", ["plc", "pqc"])
+def test_rhs_takes_each_side_power_once(nodes, monkeypatch):
+    # the kernel row and the series share one C-library power per side
+    sizes, pow_ = [], oracle._pow
+
+    def counted(base, e):
+        sizes.append(base.size)
+        return pow_(base, e)
+
+    monkeypatch.setattr(oracle, "_pow", counted)
+    problem = exact_nonlocal_rhs(exponential(), UniformGrid(0.0, 1.0, 64),
+                                 KernelParams(0.7), nodes)
+    assert sizes == [2 * problem.fValues.size]
+
+
+@pytest.mark.parametrize("nodes", ["plc", "pqc"])
 def test_only_the_exponential_takes_the_lattice_route(nodes, monkeypatch):
     def no_long_double_sums(*args):
         raise AssertionError("long-double rule sums called")
@@ -316,8 +349,8 @@ class TestBatchedFailures:
         singular_integrals(u, (0.0, 1.0), params, xs)
         series = oracle._exp_power_series
 
-        def off_at_one_point(c, sign, gamma, tol):
-            values = series(c, sign, gamma, tol)
+        def off_at_one_point(*args):
+            values = series(*args)
             values[20] += 1e-9
             return values
 

@@ -3,6 +3,7 @@
 import importlib.util
 import inspect
 import itertools
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -55,6 +56,13 @@ class TestConfigValidation:
         # others were accepted and failed only when the study ran
         with pytest.raises(ValueError, match="integer >= 2"):
             StudyConfig("plc", 0.5, levels)
+
+    @pytest.mark.parametrize("interval, rule", [((1.0, 0.0), "a < b"),
+                                                ((0.0, math.inf), "finite")])
+    def test_interval_checked(self, interval, rule):
+        # both were once accepted and failed only when the study ran
+        with pytest.raises(ValueError, match=rule):
+            StudyConfig("plc", 0.5, (8,), interval=interval)
 
     def test_scheme_checked(self):
         with pytest.raises(ValueError, match="scheme"):
