@@ -25,6 +25,10 @@ that it gave up and the dense LU solved the system, as it does at gamma =
 matrix shows it here; on dominant systems solved by GMRES none does, and
 check_structure reads only the Toeplitz generators, in O(n).
 
+Then prints the same median/first pair in ms for the right-hand side alone
+(`exact_nonlocal_rhs`, u = e^x on (0, 1)) at PLC N = 2**17, above
+coeffs.MAX_CELLS, which does not apply: the oracle builds no weight table.
+
 Then, for PLC and PQC at N=512 and the points a+h, 1/3 and the centre of
 (0, 1), prints the same median/first pair in ms for the two halves of one
 truncation error |I - I_k|: the interpolant's integral
@@ -101,10 +105,10 @@ def truncation_stages(scheme, params, grid, x):
     return t1 - t0, time.perf_counter() - t1
 
 
-def study_time(run, config):
-    """Wall time in seconds of one run of a study."""
+def wall_time(run, *args):
+    """Wall time in seconds of one run(*args)."""
     t0 = time.perf_counter()
-    run(config)
+    run(*args)
     return time.perf_counter() - t0
 
 
@@ -144,6 +148,11 @@ def main(argv):
         runs = [stages(scheme, params, grid) for _ in range(repeats)]
         peak, lu_calls = peak_mb_and_lu_calls(scheme, params, grid)
         print(f"{scheme}:N={N},{timings(runs, 1)},{peak:.1f},{lu_calls}")
+    print("case,rhs_ms")
+    grid = UniformGrid(0.0, 1.0, 2 ** 17)
+    runs = [[wall_time(oracle.exact_nonlocal_rhs, oracle.exponential(), grid,
+                       params)] for _ in range(repeats)]
+    print(f"plc:N={grid.N},{timings(runs, 1)}")
     print("case,x,interpolant_ms,oracle_ms")
     grid = UniformGrid(0.0, 1.0, TRUNCATION_N)
     for scheme in ("plc", "pqc"):
@@ -155,7 +164,7 @@ def main(argv):
     for scheme in ("plc", "pqc"):
         for name, run, fields in STUDIES:
             config = StudyConfig(scheme, gamma, **fields)
-            runs = [[study_time(run, config)] for _ in range(repeats)]
+            runs = [[wall_time(run, config)] for _ in range(repeats)]
             levels = config.levels
             print(f"{scheme}:{name}:N={levels[0]}..{levels[-1]},"
                   f"{timings(runs, 2)},"

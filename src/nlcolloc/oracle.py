@@ -2,8 +2,9 @@
 
 Everything here is independent of the collocation weight tables: the
 primary route is Gauss-Jacobi quadrature with the s^(-gamma) weight on
-each side of the singularity, doubled until converged.  The exponential
-test function carries a convergent-series second opinion.
+each side of the singularity, doubled until converged.  For the
+exponential test function a convergent series gives the value, and the
+Gauss-Jacobi levels check it.
 """
 
 import functools
@@ -82,27 +83,24 @@ def exponential() -> TestFunction:
 def kernel_row_integral(a: float, b: float, gamma: float, x):
     """int_a^b |x - y|^(-gamma) dy = [(x-a)^(1-g) + (b-x)^(1-g)] / (1-g).
 
-    x may be a float or a 1-D array of points, each in [a, b].
+    x may be a float or a 1-D array of points, each in [a, b], and gamma
+    lies in [0, 1), as KernelParams requires.
     """
+    KernelParams(gamma)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError(f"x must be a float or 1-D, got shape {xs.shape}")
     outside = ~((a <= xs) & (xs <= b))     # nan included
     if outside.any():
         raise ValueError(f"x={float(xs[outside][0])!r} must lie in [{a}, {b}]")
-    row = _kernel_row(_side_powers(a, b, gamma, xs.reshape(-1)), gamma)
+    lengths, _ = _sides(a, b, xs.reshape(-1))
+    row = _kernel_row(_pow(lengths, 1.0 - gamma), gamma)
     return float(row[0]) if xs.ndim == 0 else row
 
 
-def _side_powers(a: float, b: float, gamma: float, x: np.ndarray):
-    """(x - a)^(1-gamma), then (b - x)^(1-gamma), for every x of the 1-D
-    array x, in one array: the powers that the kernel row and the
-    exponential series share."""
-    return _pow(_sides(a, b, x)[0], 1.0 - gamma)
-
-
 def _kernel_row(powers: np.ndarray, gamma: float) -> np.ndarray:
-    """kernel_row_integral at the points whose _side_powers these are."""
+    """kernel_row_integral at the points whose side powers
+    (x - a)^(1-gamma), then (b - x)^(1-gamma), these are."""
     n = powers.size // 2
     return (powers[:n] + powers[n:]) / (1.0 - gamma)
 
@@ -255,10 +253,12 @@ def _point_sides(u, a: float, b: float, gamma: float, xs: np.ndarray):
     return sides
 
 
-def _lattice_sides(a: float, b: float, gamma: float, xs: np.ndarray,
-                   step: float):
+def _lattice_sides(b: float, gamma: float, xs: np.ndarray, step: float,
+                   powers: np.ndarray):
     """Gauss-Jacobi levels of e^y at the lattice xs = a + i*step,
-    i = 1..M-1, with M*step = b - a; sides(todo, n) as in _point_sides.
+    i = 1..M-1, with M*step = b - a, from the side powers of xs
+    (x - a)^(1-gamma), then (b - x)^(1-gamma); sides(todo, n) as in
+    _point_sides.
 
     With the rule's nodes s_k and weights w_k, the left side of x_i is
     L^(1-gamma) e^(x_i) sum_k w_k tau_k^i, tau_k = e^(-step*s_k), and the
@@ -269,19 +269,17 @@ def _lattice_sides(a: float, b: float, gamma: float, xs: np.ndarray,
     exponential tables: O(sqrt(M) n) exponentials instead of one per point
     and node, all in float64.
 
-    The scales take L and R of the rounded nodes, not i*step: near an end
-    of a short interval the two differ by 1e-12 relative, which would put
-    the lattice at other points than the series.
+    The powers are those of L and R of the rounded nodes, not of i*step:
+    near an end of a short interval the two differ by 1e-12 relative,
+    which would put the lattice at other points than the series.
     """
     try:
         exp_b = math.exp(b)
     except OverflowError:
         raise OracleError(f"e^y overflows float64 at y={b!r}") from None
-    lengths, _ = _sides(a, b, xs)
-    scales = lengths ** (1.0 - gamma)
     with np.errstate(over="ignore"):          # an infinite side fails its level
-        left = scales[:xs.size] * np.exp(xs)
-        right = scales[xs.size:] * exp_b
+        left = powers[:xs.size] * np.exp(xs)
+        right = powers[xs.size:] * exp_b
     M = xs.size + 1
     B = math.isqrt(M - 1) + 1
     Q = -(-M // B)
@@ -311,15 +309,18 @@ def singular_integrals(u: TestFunction, interval, params: KernelParams,
     kind is additionally cross-checked, point by point, against its series
     expansion.
     """
-    return _singular_integrals(u, interval, params, xs, tol)
+    return _singular_integrals(u, interval, params, xs, tol)[0]
 
 
 def _singular_integrals(u: TestFunction, interval, params: KernelParams,
-                        xs, tol: float, step=None, powers=None) -> np.ndarray:
+                        xs, tol: float, step=None):
     """singular_integrals, with the Gauss-Jacobi levels from _point_sides;
     a step says that u is e^y and xs = a + i*step for i = 1..M-1, with
     M*step = b - a, and takes the levels from _lattice_sides instead.
-    powers, if given, are the _side_powers of xs, for the series."""
+
+    Returns the integrals and the side powers (x - a)^(1-gamma), then
+    (b - x)^(1-gamma), of xs: taken once, they serve the series, the
+    lattice levels and the caller's kernel row."""
     a, b = interval
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
@@ -332,10 +333,12 @@ def _singular_integrals(u: TestFunction, interval, params: KernelParams,
         raise ValueError(f"tol must be finite and >= 1e-14 (a smaller one "
                          f"is not attainable in double precision), got {tol!r}")
     gamma = params.gamma
+    lengths, signs = _sides(a, b, xs)
+    powers = _pow(lengths, 1.0 - gamma)
     if step is None:
         sides = _point_sides(u, a, b, gamma, xs)
     else:
-        sides = _lattice_sides(a, b, gamma, xs, step)
+        sides = _lattice_sides(b, gamma, xs, step, powers)
 
     def level(todo, n):
         with np.errstate(over="ignore", invalid="ignore"):  # raised below
@@ -371,7 +374,7 @@ def _singular_integrals(u: TestFunction, interval, params: KernelParams,
     if u.kind == "exp":
         # the series carries less roundoff than the quadrature weights, so
         # after the two routes validate each other, prefer its value
-        ref = _exp_integral_series(a, b, gamma, xs, tol, powers)
+        ref = _exp_integral_series(xs, lengths, signs, powers, gamma, tol)
         # mixed like the doubling gate: a large |I|'s roundoff is no error
         bad = np.abs(values - ref) > 100.0 * tol + 2e-14 * np.abs(ref)
         if bad.any():
@@ -379,8 +382,8 @@ def _singular_integrals(u: TestFunction, interval, params: KernelParams,
             raise OracleError(
                 f"Gauss-Jacobi ({float(values[i])!r}) and series "
                 f"({float(ref[i])!r}) disagree at x={float(xs[i])!r}")
-        return ref
-    return values
+        values = ref
+    return values, powers
 
 
 def singular_integral(u: TestFunction, interval, params: KernelParams,
@@ -394,37 +397,31 @@ def singular_integral(u: TestFunction, interval, params: KernelParams,
 def _exp_power_series(c: np.ndarray, sign: np.ndarray, cpow: np.ndarray,
                       gamma: float, tol: float) -> np.ndarray:
     """int_0^c e^(sign*t) t^(-gamma) dt by its convergent series, for each
-    triple of c, sign and cpow = c^(1-gamma) in 1-D arrays (0 where c <= 0);
-    each element stops at its own term."""
+    triple of c >= 0, sign and cpow = c^(1-gamma) in 1-D arrays.
+
+    All elements run in one pass of fixed size, and a term is added only
+    where its element is still open, so each stops at its own term."""
     total = np.zeros(c.size)
-    todo = np.flatnonzero(c > 0.0)
-    step = (sign * c)[todo]
-    cpow = cpow[todo]
-    partial = np.zeros(todo.size)
-    term_base = np.ones(todo.size)  # sign^k c^k / k!
+    open_ = np.ones(c.size, dtype=bool)
+    step = sign * c
+    term_base = np.ones(c.size)  # sign^k c^k / k!
     for k in range(0, 500):
         term = term_base * cpow / (k + 1.0 - gamma)
-        partial += term
+        np.add(total, term, out=total, where=open_)
         if k > 2:
-            done = np.abs(term) < tol / 10.0
-            if done.any():
-                total[todo[done]] = partial[done]
-                keep = ~done
-                todo, cpow, step = todo[keep], cpow[keep], step[keep]
-                partial, term_base = partial[keep], term_base[keep]
-            if not todo.size:
+            open_ &= ~(np.abs(term) < tol / 10.0)    # a nan term stays open
+            if not open_.any():
                 return total
         term_base *= step / (k + 1.0)
     raise OracleError("series for the exponential integral did not converge")
 
 
-def _exp_integral_series(a: float, b: float, gamma: float, x: np.ndarray,
-                         tol: float, powers=None) -> np.ndarray:
-    """I(a, b, x) for u = e^y at every x of the 1-D array x by the series;
-    powers, if given, are the _side_powers of x."""
-    if powers is None:
-        powers = _side_powers(a, b, gamma, x)
-    sides = _exp_power_series(*_sides(a, b, x), powers, gamma, tol)
+def _exp_integral_series(x: np.ndarray, lengths: np.ndarray,
+                         signs: np.ndarray, powers: np.ndarray, gamma: float,
+                         tol: float) -> np.ndarray:
+    """I(a, b, x) for u = e^y at every x of the 1-D array x by the series,
+    from the _sides of x and their powers lengths^(1-gamma)."""
+    sides = _exp_power_series(lengths, signs, powers, gamma, tol)
     return np.fromiter(map(math.exp, x.tolist()), float, count=x.size) \
         * (sides[:x.size] + sides[x.size:])
 
@@ -447,14 +444,15 @@ def exact_nonlocal_rhs(u: TestFunction, grid: UniformGrid,
                        params: KernelParams, nodes: str = "plc",
                        tol: float = ORACLE_TOL) -> ManufacturedProblem:
     """Manufacture f for the nonlocal equation at the requested node set."""
-    p = {"plc": 1, "pqc": 2}.get(nodes)      # the lattice step is h/p
-    if p is None:
+    from .study import SCHEMES              # the schemes import this module
+    scheme = SCHEMES.get(nodes)
+    if scheme is None:
         raise ValueError(f"unknown node set {nodes!r}")
-    xs, step = grid.lattice(p)[1:-1], grid.h / p
-    powers = _side_powers(grid.a, grid.b, params.gamma, xs)
+    xs, step = scheme.lattice(grid)[1:-1], grid.h / scheme.DEGREE
     # the integral first: where e^y overflows it raises before u(xs) warns
-    integral = _singular_integrals(u, (grid.a, grid.b), params, xs, tol,
-                                   step if u.kind == "exp" else None, powers)
+    integral, powers = _singular_integrals(
+        u, (grid.a, grid.b), params, xs, tol,
+        step if u.kind == "exp" else None)
     f = u(xs) * _kernel_row(powers, params.gamma) - integral
     return ManufacturedProblem(
         fValues=f, boundary=(float(u(grid.a)), float(u(grid.b))))

@@ -17,8 +17,8 @@ from scipy import integrate, linalg
 
 from nlcolloc import solver, study
 from nlcolloc.grid import KernelParams, UniformGrid
-from nlcolloc.oracle import (TestFunction, _exp_integral_series,
-                             exact_nonlocal_rhs, kernel_row_integral)
+from nlcolloc.oracle import (TestFunction, _exp_integral_series, _pow,
+                             _sides, exact_nonlocal_rhs, kernel_row_integral)
 from nlcolloc.solver import _block_row_sums, _dd_add
 
 
@@ -32,7 +32,10 @@ def closed_form_integral(u: TestFunction, interval, params: KernelParams,
     if u.kind == "const":
         return u.c * kernel_row_integral(a, b, gamma, x)
     if u.kind == "exp":
-        return float(_exp_integral_series(a, b, gamma, np.array([x]), tol)[0])
+        xs = np.array([x])
+        lengths, signs = _sides(a, b, xs)
+        return float(_exp_integral_series(
+            xs, lengths, signs, _pow(lengths, 1.0 - gamma), gamma, tol)[0])
     # monomial: expand y^p about x; odd powers flip sign on the left side
     total = 0.0
     for j in range(u.p + 1):

@@ -51,6 +51,14 @@ class TestKernelRowIntegral:
         with pytest.raises(ValueError, match="1-D"):
             kernel_row_integral(0.0, 1.0, 0.5, np.array([[0.25], [0.5]]))
 
+    @pytest.mark.parametrize("gamma, x", [(1.5, 0.0), (1.0, 0.5), (-0.5, 0.5),
+                                          (np.nan, 0.5)])
+    def test_gamma_outside_kernel_range_rejected(self, gamma, x):
+        # these once gave a bare "math domain error", inf with a
+        # RuntimeWarning, 0.667 and nan
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+            kernel_row_integral(0.0, 1.0, gamma, x)
+
 
 class TestTestFunction:
     def test_unknown_kind_rejected(self):
@@ -220,8 +228,12 @@ def _scalar_rhs(u, grid, params, nodes, tol):
                          ids=["const", "monomial", "exp"])
 def test_batched_rhs_bitwise_equals_scalar_oracle(u, gamma):
     params = KernelParams(gamma)
-    for interval in ((0.0, 1.0), (-1.0, 3.0), (0.0, 1e-3)):
-        for N in (2, 3, 64, 700):
+    # on (0, 20) the sides' series stop up to about 60 terms apart
+    for interval, levels in (((0.0, 1.0), (2, 3, 64, 700)),
+                             ((-1.0, 3.0), (2, 3, 64, 700)),
+                             ((0.0, 1e-3), (2, 3, 64, 700)),
+                             ((0.0, 20.0), (2, 3, 64))):
+        for N in levels:
             grid = UniformGrid(*interval, N)
             for nodes in ("plc", "pqc"):
                 for tol in (1e-12, 1e-13):
@@ -270,8 +282,9 @@ def test_lattice_levels_match_long_double_route(gamma, interval):
     for N in (2, 3, 64, 700, 4096):
         for nodes in ("plc", "pqc"):
             xs, step = _lattice(UniformGrid(a, b, N), nodes)
-            sides = oracle._lattice_sides(a, b, gamma, xs, step)
             lengths = np.concatenate([xs - a, b - xs])
+            sides = oracle._lattice_sides(b, gamma, xs, step,
+                                          oracle._pow(lengths, 1.0 - gamma))
             points = np.concatenate([xs, xs])
             signs = np.repeat([-1.0, 1.0], xs.size)
             for n in (4, 8, 16, 32):
@@ -303,17 +316,38 @@ def test_lattice_rhs_bitwise_equals_point_route(gamma):
 
 @pytest.mark.parametrize("nodes", ["plc", "pqc"])
 def test_rhs_takes_each_side_power_once(nodes, monkeypatch):
-    # the kernel row and the series share one C-library power per side
-    sizes, pow_ = [], oracle._pow
-
-    def counted(base, e):
-        sizes.append(base.size)
-        return pow_(base, e)
-
-    monkeypatch.setattr(oracle, "_pow", counted)
+    # the kernel row, the lattice levels and the series share one
+    # C-library power per side, of sides taken once
+    calls = {"_pow": [], "_sides": []}
+    for name, seen in calls.items():
+        def counted(*args, original=getattr(oracle, name), seen=seen):
+            seen.append(args)
+            return original(*args)
+        monkeypatch.setattr(oracle, name, counted)
     problem = exact_nonlocal_rhs(exponential(), UniformGrid(0.0, 1.0, 64),
                                  KernelParams(0.7), nodes)
-    assert sizes == [2 * problem.fValues.size]
+    n = problem.fValues.size
+    assert [base.size for base, _ in calls["_pow"]] == [2 * n]
+    assert len(calls["_sides"]) == 1
+
+    calls["_pow"].clear()
+    xs = np.linspace(0.1, 0.9, 9)
+    singular_integrals(exponential(), (0.0, 1.0), KernelParams(0.7), xs)
+    assert [base.size for base, _ in calls["_pow"]] == [2 * xs.size]
+
+
+def test_series_sides_stop_at_their_own_terms():
+    # one array whose sides stop about 4 to 60 terms apart, both signs,
+    # gives every bit of one-element calls
+    c = np.repeat(np.geomspace(1e-3, 20.0, 40), 2)
+    sign = np.tile([-1.0, 1.0], 40)
+    cpow = oracle._pow(c, 1.0 - 0.7)
+    for tol in (1e-12, 1e-13, 1e-14):
+        got = oracle._exp_power_series(c, sign, cpow, 0.7, tol)
+        want = [oracle._exp_power_series(c[i:i + 1], sign[i:i + 1],
+                                         cpow[i:i + 1], 0.7, tol)[0]
+                for i in range(c.size)]
+        assert got.tobytes() == np.array(want).tobytes(), tol
 
 
 @pytest.mark.parametrize("nodes", ["plc", "pqc"])
@@ -365,8 +399,10 @@ class TestBatchedFailures:
         params, grid = KernelParams(0.99), UniformGrid(2.0, 7.0, 2)
         xs = grid.lattice(1)[1:-1]
         value = singular_integrals(exponential(), (2.0, 7.0), params, xs)
+        lengths, signs = oracle._sides(2.0, 7.0, xs)
         assert value.tobytes() == oracle._exp_integral_series(
-            2.0, 7.0, 0.99, xs, oracle.ORACLE_TOL).tobytes()
+            xs, lengths, signs, oracle._pow(lengths, 1.0 - 0.99), 0.99,
+            oracle.ORACLE_TOL).tobytes()
         problem = exact_nonlocal_rhs(exponential(), grid, params)
         assert problem.fValues.tobytes() == (
             np.exp(xs) * kernel_row_integral(2.0, 7.0, 0.99, xs)
