@@ -16,18 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import KernelParams, UniformGrid
-from .solver import lapack
 
-MAX_NODES_PER_SIDE = 4096
-
-# Rules of up to this many nodes take their seeds from numpy's dense
-# symmetric eigensolver, larger ones from LAPACK's tridiagonal one (dstevd),
-# so that a process building only small rules never loads scipy (about
-# 12 ms).  One thread on a 2-core Xeon VM, gamma = 0.7: the dense seeds
-# cost 0.2 ms at 64 nodes, 3.7 ms at 256 and 19 ms at 512, against 2.0, 14
-# and 48 ms for the whole rule; at 1024 nodes they cost 147 ms, as much as
-# the rule.  Both give the same polished rule, bit for bit.
-DENSE_SEED_MAX = 256
+# Over 3000 random calls (intervals of length 1e-6 to 316, gamma up to
+# 1 - 1e-6, points 1e-12 from an end, tol 1e-14 to 1e-10) every converged
+# point stopped by 32 nodes per side and every failure came by 128.  Only
+# sides that cancel to I = 0 (u = y on (-1000, 1000), gamma near 0) went
+# further, and there the doubling gate accepts only by chance.
+MAX_NODES_PER_SIDE = 256
 
 # Absolute tolerance of every oracle value: the default of every tol argument.
 ORACLE_TOL = 1e-13
@@ -152,15 +147,9 @@ def _jacobi_poly_and_deriv(beta, recurrence, x: np.ndarray, left):
 def _tridiagonal_eigenvalues(diagonal: np.ndarray,
                              off: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of the symmetric tridiagonal matrix with this
-    diagonal and off-diagonal: numpy's dense solver on its lower triangle up
-    to DENSE_SEED_MAX rows, LAPACK's dstevd above (what
-    scipy.linalg.eigvalsh_tridiagonal calls)."""
+    diagonal and off-diagonal, from numpy's dense solver on its lower
+    triangle: at MAX_NODES_PER_SIDE rows it costs 3.7 ms of the rule's 14."""
     n = len(diagonal)
-    if n > DENSE_SEED_MAX:
-        eigenvalues, _, info = lapack().dstevd(diagonal, off, compute_v=0)
-        if info != 0:
-            raise OracleError(f"dstevd failed on {n} seeds (info = {info})")
-        return eigenvalues
     lower = np.diag(diagonal)
     lower[np.arange(1, n), np.arange(n - 1)] = off
     return np.linalg.eigvalsh(lower)
@@ -209,8 +198,8 @@ def _sides(a: float, b: float, x: np.ndarray):
 
 
 # Quadrature points per working array in _rule_sums: 2**17 long doubles are
-# 2 MB, so a node set that fails to converge up to MAX_NODES_PER_SIDE costs a
-# few MB instead of nodes x 4096 x 16 B.
+# 2 MB, so a large node set costs a few MB instead of points x nodes x 16 B
+# (10**6 points x 32 nodes: 512 MB).
 CHUNK_ENTRIES = 2 ** 17
 
 

@@ -167,9 +167,9 @@ def lapack():
     call without running the scipy.linalg package: importing that package
     costs about 0.17 s, more than most CLI commands take in all, and the
     module with the bare scipy package about 12 ms.  It is registered under
-    its own name, so that a later import of scipy.linalg shares it.  A
-    program that solves small systems throughout calls this once at
-    start-up."""
+    its own name, so that a later import of scipy.linalg shares it.  Its
+    one user is the LU solve of small systems; a program that solves them
+    throughout calls this once at start-up."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
         import scipy        # on Windows wheels, sets up the DLL search path
