@@ -3,14 +3,13 @@
 
 Usage: python3 scripts/bench_pairs.py PARENT_REF --pr N
                                       [--pairs P] [--seconds S] [--seed K]
-                                      [--workloads W,...]
 
 Checks PARENT_REF out as a git worktree under the ignored .bench_work/,
 then runs `python3 <checkout>/bench/run.py --workload W --seconds S --seed K`
-in that worktree and in this checkout, P pairs per workload, one process at
-a time.  Pair i runs the parent first when i is even and the change first
-when it is odd.  Each run's last line of standard output is its JSON
-result (correct, attempted, failed, metrics).
+in that worktree and in this checkout, P pairs for each workload of
+BENCHMARK.json, one process at a time.  Pair i runs the parent first when
+i is even and the change first when it is odd.  Each run's last line of
+standard output is its JSON result (correct, attempted, failed, metrics).
 
 Writes BENCH_<N>.json at the root of this checkout, again after every pair,
 so an interrupted series still leaves the pairs it finished.  It holds the
@@ -19,7 +18,7 @@ medians, the parent's quartiles, each pair's change/parent ratio and the
 pairs the change won (a tie counts for neither side), together with every
 run's attempted and failed operations.  A run with failed operations is kept
 and marked, never dropped.  The worktree is removed at the end, also on
-error.  Only the standard library is imported.
+error, Ctrl-C or SIGTERM.  Only the standard library is imported.
 """
 
 import argparse
@@ -27,6 +26,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -104,11 +104,7 @@ def machine() -> dict:
             return importlib.metadata.version(name)
         except importlib.metadata.PackageNotFoundError:
             return None
-    return {"cpus": os.cpu_count(),
-            "usable_cpus": len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else None,
-            "platform": platform.platform(),
-            "processor": platform.processor() or platform.machine(),
+    return {"cpus": os.cpu_count(), "platform": platform.platform(),
             "python": platform.python_version(),
             "numpy": version("numpy"), "scipy": version("scipy")}
 
@@ -149,10 +145,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float,
                         default=spec["run_seconds"])
     parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--workloads",
-                        default=",".join(w["name"] for w in spec["workloads"]))
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in spec["workloads"]]
     parent_commit = git("rev-parse", "--verify", args.parent_ref + "^{commit}")
     out_path = ROOT / f"BENCH_{args.pr}.json"
     header = {
@@ -165,6 +159,9 @@ def main(argv=None) -> int:
                      "run.py --workload W --seconds S --seed K"},
     }
     runs = {w: {side: [] for side in SIDES} for w in workloads}
+    # SIGTERM unwinds like Ctrl-C: through subprocess.run, which kills the
+    # running child, and through the finally that removes the worktree
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     worktree = WORK / f"parent-{parent_commit[:12]}"
     WORK.mkdir(exist_ok=True)
     git("worktree", "add", "--detach", str(worktree), parent_commit)

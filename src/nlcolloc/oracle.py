@@ -148,7 +148,7 @@ def _tridiagonal_eigenvalues(diagonal: np.ndarray,
                              off: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of the symmetric tridiagonal matrix with this
     diagonal and off-diagonal, from numpy's dense solver on its lower
-    triangle: at MAX_NODES_PER_SIDE rows it costs 3.7 ms of the rule's 14."""
+    triangle (256 rows: 3.7 ms of the rule's 14, one Xeon thread)."""
     n = len(diagonal)
     lower = np.diag(diagonal)
     lower[np.arange(1, n), np.arange(n - 1)] = off

@@ -205,13 +205,48 @@ class TestStudies:
 
     @pytest.mark.xfail(strict=True, reason=(
         "the oracle's left exponential series cancels on long intervals: on "
-        "(0, 20) it is off by up to 8.6e-10 relative, so the absolute "
-        "Gauss-Jacobi-vs-series gate rejects every node (ROADMAP item 2)"))
+        "(0, 20) it is off by up to 8.6e-10 relative, so the "
+        "Gauss-Jacobi-vs-series gate, 100 tol + 2e-14 |I|, rejects every "
+        "node (ROADMAP item 2)"))
     def test_converge_on_long_interval(self, capsys):
         status, _, err = run_cli(capsys, "converge", "--scheme", "pqc",
                                  "--gamma", "0.3", "--levels", "16,32",
                                  "--interval=0,20")
         assert status == 0, err
+
+
+def printed_rows(out):
+    """(N, h, error, order) of each row of a converge table in CSV, order
+    None where none is printed."""
+    return [(row[0], row[1], float(row[2]), float(row[3]) if row[3] else None)
+            for row in (line.split(",") for line in out.splitlines()[1:])]
+
+
+class TestSilentWrongAnswers:
+    """Inputs that exit 0 with a wrong result: each must either fail with
+    exit 1 or print a right one (ROADMAP item 19)."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 19: f = u K - I cancels when K = 1/(1 - gamma) is "
+        "about 9e15, so the printed error is 3.3297e+03"))
+    def test_gamma_next_below_one(self, capsys):
+        status, out, _ = run_cli(capsys, "converge", "--scheme", "plc",
+                                 "--gamma", "0.9999999999999999",
+                                 "--levels", "8")
+        assert status == 1 or all(row[2] < 1.0 for row in printed_rows(out))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2, an item 19 example: the study floor is absolute, so "
+        "roundoff of values near 1e6 prints as orders -1.8074 and -1.6521; "
+        "a floor scaled to u would print none, as on (0, 1)"))
+    def test_exact_quadratic_far_from_zero(self, capsys):
+        # PQC reproduces a quadratic u exactly: on (0, 1) the same call
+        # prints errors of 4e-16 to 1.2e-15 and no order
+        status, out, _ = run_cli(capsys, "converge", "--scheme", "pqc",
+                                 "--gamma", "0.5", "--function", "quadratic",
+                                 "--levels", "4,8,16", "--interval=1000,1001")
+        assert status == 0
+        assert [row[3] for row in printed_rows(out)] == [None] * 3
 
 
 @pytest.mark.parametrize("command", ["truncation", "converge"])
@@ -423,8 +458,8 @@ NO_LU_COMMANDS = (
 
 
 def test_commands_without_lu_solves_load_no_scipy():
-    # only an LU solve or a Gauss-Jacobi rule above oracle.DENSE_SEED_MAX
-    # nodes loads scipy, through solver.lapack(), at about 12 ms
+    # only an LU solve loads scipy, through solver.lapack(), at about 12 ms;
+    # the oracle's Gauss-Jacobi seeds come from numpy alone
     code = ("import contextlib, io, sys\n"
             "from nlcolloc import cli\n"
             "loaded = lambda: [m for m in sys.modules "

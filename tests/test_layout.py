@@ -1,7 +1,8 @@
 """Source layout: no module imports a name it never uses, no function has
 a parameter it never reads, and the library imports no third-party module
 besides the ones it runs on: numpy, and the bare scipy package, imported
-once, inside solver.lapack(), to load scipy's LAPACK module.
+once, inside solver.lapack(), to load scipy's LAPACK module for the LU solve
+of small systems, its only use of scipy.
 
 The environment has no linter; these are the lint rules the package keeps,
 so that deleting code also deletes the imports only it needed.
@@ -152,8 +153,8 @@ def scipy_import_sites(tree):
 def test_library_imports_scipy_once_in_solver_lapack():
     # the scipy.linalg package takes about 0.17 s to import, mostly for
     # modules the library never calls; solver.lapack() loads the one LAPACK
-    # module it needs without that package, and every other caller goes
-    # through it
+    # module it needs without that package, for the LU solve, its one
+    # caller (the oracle's seeds come from numpy)
     sites = [(path.name, function) for path in LIBRARY
              for function in scipy_import_sites(ast.parse(path.read_text()))]
     assert sites == [("solver.py", "lapack")]

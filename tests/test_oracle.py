@@ -1,5 +1,6 @@
 """Reference-integration oracle: cross-route agreement and closed forms."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -590,7 +591,7 @@ def test_gauss_jacobi_rule_against_mpmath(n, gamma):
 def test_gauss_jacobi_seeds_match_scipy_roots(monkeypatch, n):
     # the Jacobi-matrix eigenvalues that seed the Newton polish are
     # scipy.special.roots_jacobi's nodes to float64 roundoff (measured
-    # worst 8.25 eps, at n = 512, when rules went that far)
+    # worst 8.25 eps over n <= 512)
     seeds, eigenvalues = [], oracle._tridiagonal_eigenvalues
     monkeypatch.setattr(oracle, "_tridiagonal_eigenvalues", lambda d, e:
                         seeds.append(eigenvalues(d, e)) or seeds[-1])
@@ -605,6 +606,50 @@ def test_gauss_jacobi_rule_size_limited():
     # criterion 7's uncapped doubling, must not build a larger rule either
     with pytest.raises(OracleError, match="exceed"):
         oracle._gj_rule(oracle.MAX_NODES_PER_SIDE + 1, 0.5)
+
+
+def test_rule_sizes_stay_well_below_the_cap(monkeypatch):
+    # every call returns with rules of at most 32 nodes (at the points
+    # 1e-9 (b - a) from an end): 64 allows one more doubling, and the cap
+    # of 256 two more beyond that
+    sizes, rule = [], oracle._gj_rule
+    monkeypatch.setattr(oracle, "_gj_rule",
+                        lambda n, gamma: sizes.append(n) or rule(n, gamma))
+    offsets = np.concatenate([[1e-9], np.linspace(0.0, 1.0, 33)[1:-1],
+                              [1.0 - 1e-9]])
+    for (a, b), gamma, u, tol in itertools.product(
+            [(0.0, 1.0), (-1.0, 3.0), (2.0, 7.0), (0.0, 5.0), (0.0, 1e-3)],
+            [0.0, 0.3, 0.7, 0.99, 1.0 - 1e-6],
+            [exponential(), constant(), monomial(4)], [1e-13, 1e-14]):
+        values = singular_integrals(u, (a, b), KernelParams(gamma),
+                                    a + (b - a) * offsets, tol)
+        assert np.all(np.isfinite(values))
+    assert max(sizes) <= 64
+
+
+def test_cancelling_sides_raise_at_the_cap():
+    # u = y on (-1000, 1000) at gamma = 0: the two sides cancel to I = 0,
+    # so the mixed doubling gate accepts a point only where two levels round
+    # alike, and some points never do
+    with pytest.raises(OracleError, match="within 256 nodes"):
+        exact_nonlocal_rhs(monomial(1), UniformGrid(-1000.0, 1000.0, 8192),
+                           KernelParams(0.0))
+
+
+def test_largest_rule_and_oracle_load_no_scipy():
+    # the seeds come from numpy's dense eigensolver at every rule size
+    env = dict(os.environ, PYTHONPATH=str(Path(nlcolloc.__file__).parents[1]))
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from nlcolloc import oracle\n"
+            "from nlcolloc.grid import KernelParams\n"
+            "oracle._gj_rule(oracle.MAX_NODES_PER_SIDE, 0.7)\n"
+            "oracle.singular_integrals(oracle.exponential(), (0.0, 1.0), "
+            "KernelParams(0.7), np.linspace(0.1, 0.9, 9))\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _peak_bytes(fn):
