@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating parent/change pairs and record the result.
 
-Usage: python3 scripts/bench_pairs.py PARENT_REF --pr N
+Usage: python3 scripts/bench_pairs.py PARENT_REF --out FILE
                                       [--pairs P] [--seconds S] [--seed K]
 
 Checks PARENT_REF out as a git worktree under the ignored .bench_work/,
@@ -11,13 +11,13 @@ BENCHMARK.json, one process at a time.  Pair i runs the parent first when
 i is even and the change first when it is odd.  Each run's last line of
 standard output is its JSON result (correct, attempted, failed, metrics).
 
-Writes BENCH_<N>.json at the root of this checkout, again after every pair,
-so an interrupted series still leaves the pairs it finished.  It holds the
-machine, and for each workload and end-to-end metric of BENCHMARK.json both
-medians, the parent's quartiles, each pair's change/parent ratio and the
-pairs the change won (a tie counts for neither side), together with every
-run's attempted and failed operations.  A run with failed operations is kept
-and marked, never dropped.  The worktree is removed at the end, also on
+Writes FILE (by convention BENCH_<n>.json at the root of the repository)
+after every pair, so an interrupted series still leaves the pairs it
+finished.  It holds the machine, and for each workload and end-to-end
+metric of BENCHMARK.json both medians, the parent's quartiles, each pair's
+change/parent ratio and the pairs the change won (a tie counts for neither
+side), together with every run's attempted and failed operations.  A run
+with failed operations is kept and marked, never dropped.  The worktree is removed at the end, also on
 error, Ctrl-C or SIGTERM.  Only the standard library is imported.
 """
 
@@ -139,8 +139,8 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_ref")
-    parser.add_argument("--pr", type=int, required=True,
-                        help="number in the output name BENCH_<pr>.json")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the JSON record to write, e.g. BENCH_<n>.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float,
                         default=spec["run_seconds"])
@@ -148,7 +148,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workloads = [w["name"] for w in spec["workloads"]]
     parent_commit = git("rev-parse", "--verify", args.parent_ref + "^{commit}")
-    out_path = ROOT / f"BENCH_{args.pr}.json"
     header = {
         "parent": {"ref": args.parent_ref, "commit": parent_commit},
         "change": {"commit": git("rev-parse", "HEAD"),
@@ -176,12 +175,12 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} {side}: exit {run['exit']}, "
                           f"{run['failed']} of {run['attempted']} ops failed",
                           flush=True)
-                out_path.write_text(json.dumps(
+                args.out.write_text(json.dumps(
                     {**header, "workloads": report(runs, spec["end_to_end"])},
                     indent=1) + "\n")
     finally:
         git("worktree", "remove", "--force", str(worktree))
-    print(f"wrote {out_path}")
+    print(f"wrote {args.out}")
     return 0
 
 
