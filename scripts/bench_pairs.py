@@ -2,11 +2,11 @@
 """Run the benchmark in alternating parent/change pairs and record the result.
 
 Usage: python3 scripts/bench_pairs.py PARENT_REF --out FILE
-                                      [--pairs P] [--seconds S] [--seed K]
 
 Checks PARENT_REF out as a git worktree under the ignored .bench_work/,
-then runs `python3 <checkout>/bench/run.py --workload W --seconds S --seed K`
-in that worktree and in this checkout, P pairs for each workload of
+then runs `python3 <checkout>/bench/run.py --workload W --seconds S`, with
+S the run_seconds of BENCHMARK.json and run.py's default seed, in that
+worktree and in this checkout, 10 pairs for each workload of
 BENCHMARK.json, one process at a time.  Pair i runs the parent first when
 i is even and the change first when it is odd.  Each run's last line of
 standard output is its JSON result (correct, attempted, failed, metrics).
@@ -35,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORK = ROOT / ".bench_work"
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def last_json_line(stdout: str):
@@ -79,12 +80,11 @@ def summarize(parent, change, better: str) -> dict:
     }
 
 
-def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seconds: float) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"),
-         "--workload", workload, "--seconds", str(seconds),
-         "--seed", str(seed)],
+         "--workload", workload, "--seconds", str(seconds)],
         cwd=checkout, env=env, capture_output=True, text=True)
     result = last_json_line(proc.stdout)
     run = {"exit": proc.returncode}
@@ -141,11 +141,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent_ref")
     parser.add_argument("--out", type=Path, required=True,
                         help="the JSON record to write, e.g. BENCH_<n>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        default=spec["run_seconds"])
-    parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args(argv)
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     parent_commit = git("rev-parse", "--verify", args.parent_ref + "^{commit}")
     header = {
@@ -153,9 +150,9 @@ def main(argv=None) -> int:
         "change": {"commit": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain"))},
         "machine": machine(),
-        "settings": {"pairs": args.pairs, "seconds": args.seconds,
-                     "seed": args.seed, "command": "python3 <checkout>/bench/"
-                     "run.py --workload W --seconds S --seed K"},
+        "settings": {"pairs": PAIRS, "seconds": seconds,
+                     "command": "python3 <checkout>/bench/run.py "
+                     "--workload W --seconds S"},
     }
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     # SIGTERM unwinds like Ctrl-C: through subprocess.run, which kills the
@@ -167,10 +164,9 @@ def main(argv=None) -> int:
     try:
         checkouts = {"parent": worktree, "change": ROOT}
         for workload in workloads:
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in pair_order(i):
-                    run = run_once(checkouts[side], workload, args.seconds,
-                                   args.seed)
+                    run = run_once(checkouts[side], workload, seconds)
                     runs[workload][side].append(run)
                     print(f"{workload} pair {i} {side}: exit {run['exit']}, "
                           f"{run['failed']} of {run['attempted']} ops failed",

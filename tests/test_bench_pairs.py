@@ -73,7 +73,7 @@ def test_a_run_with_failed_operations_is_kept_and_marked(tmp_path):
     checkout = fake_checkout(
         tmp_path, "import sys\nprint('# summary')\n"
         f"print({json.dumps(json.dumps(result))})\nsys.exit(1)\n")
-    run = bench_pairs.run_once(checkout, "tables", 1.0, 5)
+    run = bench_pairs.run_once(checkout, "tables", 1.0)
     assert run == {"exit": 1, "attempted": 7, "failed": 2,
                    "marked_failed": True, "metrics": {"wall_s": 0.5}}
 
@@ -82,7 +82,7 @@ def test_a_run_without_a_result_is_kept_and_marked(tmp_path):
     checkout = fake_checkout(
         tmp_path, "import sys\nprint('benchmark error: no src', "
         "file=sys.stderr)\nsys.exit(2)\n")
-    run = bench_pairs.run_once(checkout, "tables", 1.0, 5)
+    run = bench_pairs.run_once(checkout, "tables", 1.0)
     assert run["exit"] == 2 and run["marked_failed"]
     assert run["metrics"] is None and "no src" in run["error"]
 
