@@ -19,9 +19,9 @@ from .grid import KernelParams, UniformGrid
 
 # Over 3000 random calls (intervals of length 1e-6 to 316, gamma up to
 # 1 - 1e-6, points 1e-12 from an end, tol 1e-14 to 1e-10) every converged
-# point stopped by 32 nodes per side and every failure came by 128.  Only
-# sides that cancel to I = 0 (u = y on (-1000, 1000), gamma near 0) went
-# further, and there the doubling gate accepts only by chance.
+# point stopped by 32 nodes per side and every failure came by 128.  Sides
+# that cancel to I = 0 (u = y on (-1000, 1000), gamma 0 to 0.3) stop at 8,
+# since the gate's roundoff term scales with |left| + |right|.
 MAX_NODES_PER_SIDE = 256
 
 # Absolute tolerance of every oracle value: the default of every tol argument.
@@ -332,18 +332,19 @@ def _singular_integrals(u: TestFunction, interval, params: KernelParams,
     def level(todo, n):
         with np.errstate(over="ignore", invalid="ignore"):  # raised below
             values = sides(todo, n)
-            values = values[:todo.size] + values[todo.size:]
+            left, right = values[:todo.size], values[todo.size:]
+            values, scale = left + right, np.abs(left) + np.abs(right)
         nonfinite = ~np.isfinite(values)
         if nonfinite.any():
             raise OracleError(
                 f"the {n}-node Gauss-Jacobi estimate at "
                 f"x={float(xs[todo[nonfinite][0]])!r} is not finite")
-        return values
+        return values, scale
 
     values = np.empty(xs.size)
     todo = np.arange(xs.size)
     n = 4
-    prev = level(todo, n)
+    prev, _ = level(todo, n)
     change = np.full(todo.size, np.inf)
     while todo.size:
         n *= 2
@@ -353,10 +354,10 @@ def _singular_integrals(u: TestFunction, interval, params: KernelParams,
                 f"within {MAX_NODES_PER_SIDE} nodes per side: at "
                 f"x={float(xs[todo[0]])!r} the last change was "
                 f"{float(change[0])!r}")
-        cur = level(todo, n)
+        cur, scale = level(todo, n)
         change = np.abs(cur - prev)
-        # the roundoff term keeps tiny tolerances attainable on O(1) integrals
-        done = change < tol / 4.0 + 2e-14 * np.abs(cur)
+        # roundoff allowance from the sides, which may cancel to I = 0
+        done = change < tol / 4.0 + 2e-14 * scale
         values[todo[done]] = cur[done]
         todo, prev, change = todo[~done], cur[~done], change[~done]
 

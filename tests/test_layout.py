@@ -128,8 +128,8 @@ def module_level_imports(tree):
 
 
 def test_library_imports_scipy_only_inside_functions():
-    # loading scipy and its LAPACK module costs about 12 ms; only the calls
-    # that use LAPACK (an LU solve, a large Gauss-Jacobi rule) may pay for it
+    # loading scipy and its LAPACK module costs about 12 ms; only the call
+    # that uses LAPACK (an LU solve) may pay for it
     eager = [f"{path.name}: {module}" for path in LIBRARY
              for module in module_level_imports(ast.parse(path.read_text()))
              if module.split(".")[0] == "scipy"]

@@ -199,9 +199,10 @@ def _scalar_singular_integral(u, interval, params, x, tol=1e-12):
         n *= 2
         if n > oracle.MAX_NODES_PER_SIDE:
             raise OracleError("Gauss-Jacobi doubling did not converge")
-        cur = _scalar_one_sided(u, x, x - a, gamma, -1.0, n) \
-            + _scalar_one_sided(u, x, b - x, gamma, +1.0, n)
-        if abs(cur - prev) < tol / 4.0 + 2e-14 * abs(cur):
+        left = _scalar_one_sided(u, x, x - a, gamma, -1.0, n)
+        right = _scalar_one_sided(u, x, b - x, gamma, +1.0, n)
+        cur = left + right
+        if abs(cur - prev) < tol / 4.0 + 2e-14 * (abs(left) + abs(right)):
             break
         prev = cur
     if u.kind == "exp":
@@ -644,10 +645,6 @@ def test_non_converging_points_raise_at_the_cap(monkeypatch):
     assert max(sizes) == oracle.MAX_NODES_PER_SIDE == 256
 
 
-@pytest.mark.xfail(strict=True, raises=OracleError, reason=(
-    "ROADMAP item 2: the doubling gate's roundoff term 2e-14 |I| vanishes "
-    "where the two sides cancel to I = 0, so a point passes only where two "
-    "levels round alike; x = -999.755859375 does not within 256 nodes"))
 def test_cancelling_sides_integrate_to_zero():
     # u = y on (-1000, 1000) at gamma = 0: I(x) = int y dy = 0 at every x.
     # The sides sum to at most 1e6 in size, so a gate that scales with them
